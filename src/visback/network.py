@@ -6,7 +6,15 @@ Two execution paths share the layer semantics:
   post-activation feature maps of every conv layer (plus the normalized
   input); this trace is what the mask backprojection consumes.
 * A batched array path (``_run_batch`` / ``_loss_and_grads_batch``) powers
-  ``backward`` and the SGD loop, trading object overhead for GEMM throughput.
+  ``forward_batch``, ``backward`` and the SGD loop, trading object overhead
+  for GEMM throughput. It takes (N, C, H, W) batches like ``forward`` but
+  runs its conv activations in NHWC layout, (N, H, W, C) in C order: each
+  im2col row then gathers contiguous runs of Kw*C floats, a conv's GEMM
+  output (N*Ho*Wo, Co) already is the next layer's NHWC input, and its
+  gradient needs no transpose. Conv weights keep their (Co, Ci, Kh, Kw)
+  storage order and are permuted to (Co, Kh, Kw, Ci) per call, and their
+  gradients back. The last conv map is flattened in (C, H, W) order, so
+  FC weights read the same features on both paths.
 
 Both are deterministic functions of (config, weights, input).
 """
@@ -112,37 +120,49 @@ def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[Stee
 # --- batched array path ----------------------------------------------------
 
 def _conv_forward_batch(x: np.ndarray, w4: np.ndarray, b: np.ndarray, g: ConvGeometry):
-    """Valid strided conv on (N, Ci, H, W); returns output and the im2col matrix."""
-    n = x.shape[0]
-    oh, ow = g.output_hw(x.shape[2], x.shape[3])
-    win = np.lib.stride_tricks.sliding_window_view(x, (g.kernel_h, g.kernel_w), axis=(2, 3))
-    win = win[:, :, :: g.stride_h, :: g.stride_w]  # (N, Ci, Ho, Wo, Kh, Kw)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, -1)
+    """Valid strided conv on NHWC (N, H, W, Ci) with (Co, Kh, Kw, Ci) weights.
+
+    Returns the NHWC output (N, Ho, Wo, Co) and the im2col matrix
+    (N*Ho*Wo, Kh*Kw*Ci). In NHWC one kernel row of a window, Kw*Ci floats,
+    is contiguous, so the gather copies Kh runs of that length per window.
+    """
+    x = np.ascontiguousarray(x)  # keeps the reshape below a view
+    n, h, w, ci = x.shape
+    oh, ow = g.output_hw(h, w)
+    win = np.lib.stride_tricks.sliding_window_view(
+        x.reshape(n, h, w * ci), (g.kernel_h, g.kernel_w * ci), axis=(1, 2)
+    )[:, :: g.stride_h, :: g.stride_w * ci]  # (N, Ho, Wo, Kh, Kw*Ci)
+    cols = np.ascontiguousarray(win).reshape(n * oh * ow, -1)
     y = cols @ w4.reshape(g.out_channels, -1).T + b
-    return np.ascontiguousarray(y.reshape(n, oh, ow, g.out_channels).transpose(0, 3, 1, 2)), cols
+    return y.reshape(n, oh, ow, g.out_channels), cols
 
 
 def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, in_hw, out_hw) -> np.ndarray:
-    """Scatter the column gradient back onto the (N, Ci, H, W) input grid."""
+    """Scatter the (N*Ho*Wo, Co) output gradient back onto the NHWC input grid.
+
+    One (Co, Ci) GEMM per kernel tap, added into that tap's strided slice.
+    """
     h, w = in_hw
     oh, ow = out_hw
-    dcols = dyr @ w4.reshape(g.out_channels, -1)  # (N*Ho*Wo, Ci*Kh*Kw)
-    dwin = dcols.reshape(n, oh, ow, g.in_channels, g.kernel_h, g.kernel_w)
-    dwin = np.ascontiguousarray(dwin.transpose(0, 3, 4, 5, 1, 2))  # (N, Ci, Kh, Kw, Ho, Wo)
-    dx = np.zeros((n, g.in_channels, h, w), dtype=np.float32)
+    dx = np.zeros((n, h, w, g.in_channels), dtype=np.float32)
     span_h = (oh - 1) * g.stride_h + 1
     span_w = (ow - 1) * g.stride_w + 1
     for ki in range(g.kernel_h):
         for kj in range(g.kernel_w):
-            dx[:, :, ki : ki + span_h : g.stride_h, kj : kj + span_w : g.stride_w] += dwin[:, :, ki, kj]
+            tap = (dyr @ w4[:, ki, kj]).reshape(n, oh, ow, g.in_channels)
+            dx[:, ki : ki + span_h : g.stride_h, kj : kj + span_w : g.stride_w] += tap
     return dx
 
 
 def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache: bool):
-    """Forward a (N, C, H, W) float32 batch; optionally keep what backward needs."""
+    """Forward a (N, C, H, W) float32 batch; optionally keep what backward needs.
+
+    Conv activations are NHWC. A batch whose memory already is NHWC, such as
+    the view ``training._to_yuv_batch`` returns, enters without a copy.
+    """
     if x.ndim != 4 or x.shape[1:] != cfg.input_shape:
         raise ShapeError(f"batch shape {x.shape} incompatible with config input {cfg.input_shape}")
-    a = x
+    a = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float32)
     cache: list[tuple] = []
     flattened = False
     for i, layer in enumerate(cfg.layers):
@@ -154,18 +174,19 @@ def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache
             cache.append(("normalization",))
         elif layer.kind == "conv":
             g = layer.geometry
-            in_hw = a.shape[2:]
+            in_hw = a.shape[1:3]
             w4 = weights.weight(i).reshape(g.out_channels, g.in_channels, g.kernel_h, g.kernel_w)
+            w4 = np.ascontiguousarray(w4.transpose(0, 2, 3, 1))  # (Co, Kh, Kw, Ci)
             z, cols = _conv_forward_batch(a, w4, weights.bias(i), g)
             mask = None
             if layer.activation == "relu":
                 mask = z > 0
                 z = np.where(mask, z, np.float32(0.0))
-            cache.append(("conv", i, cols if want_cache else None, mask, in_hw, z.shape[2:]))
+            cache.append(("conv", i, cols if want_cache else None, mask, in_hw, z.shape[1:3], w4))
             a = z
         else:
-            if not flattened:
-                a = a.reshape(a.shape[0], -1)
+            if not flattened:  # the FC weights read the last conv map in (C, H, W) order
+                a = a.transpose(0, 3, 1, 2).reshape(a.shape[0], -1)
                 flattened = True
             w2 = weights.weight(i).reshape(layer.units, -1)
             z = a @ w2.T + weights.bias(i)
@@ -183,7 +204,7 @@ def forward_batch(cfg: NetworkConfig, weights: WeightSet, images: np.ndarray) ->
     """Steering predictions for a stack of images, (N, C, H, W) -> (N,)."""
     if weights.config != cfg:
         raise ConfigError("weight set was built for a different config")
-    preds, _ = _run_batch(cfg, weights, np.ascontiguousarray(images, dtype=np.float32), want_cache=False)
+    preds, _ = _run_batch(cfg, weights, np.asarray(images, dtype=np.float32), want_cache=False)
     return preds
 
 
@@ -215,21 +236,20 @@ def _loss_and_grads_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
             grads[i] = (dw.reshape(-1).astype(np.float32), db.astype(np.float32))
             w2 = weights.weight(i).reshape(layer.units, -1)
             upstream = upstream @ w2  # (N, D)
-            if k > 0 and cache[k - 1][0] == "conv":
-                co, oh, ow = validate_config(cfg)[cache[k - 1][1]].output_shape
-                upstream = upstream.reshape(n, co, oh, ow)
+            if k > 0 and cache[k - 1][0] == "conv":  # (C, H, W) flatten order back to NHWC
+                _, below, _, _, _, (oh, ow), _ = cache[k - 1]
+                co = cfg.layers[below].geometry.out_channels
+                upstream = upstream.reshape(n, co, oh, ow).transpose(0, 2, 3, 1)
         elif entry[0] == "conv":
-            _, i, cols, mask, in_hw, out_hw = entry
+            _, i, cols, mask, in_hw, out_hw, w4 = entry
             g = cfg.layers[i].geometry
             if mask is not None:
                 upstream = np.where(mask, upstream, np.float32(0.0))
-            oh, ow = out_hw
-            dyr = np.ascontiguousarray(upstream.transpose(0, 2, 3, 1)).reshape(n * oh * ow, g.out_channels)
-            dw = dyr.T @ cols  # (Co, Ci*Kh*Kw)
+            dyr = upstream.reshape(-1, g.out_channels)  # NHWC rows: (N*Ho*Wo, Co)
+            dw = (dyr.T @ cols).reshape(g.out_channels, g.kernel_h, g.kernel_w, g.in_channels)
             db = dyr.sum(axis=0)
-            grads[i] = (dw.reshape(-1).astype(np.float32), db.astype(np.float32))
+            grads[i] = (dw.transpose(0, 3, 1, 2).reshape(-1).astype(np.float32), db.astype(np.float32))
             if k != first_conv:
-                w4 = weights.weight(i).reshape(g.out_channels, g.in_channels, g.kernel_h, g.kernel_w)
                 upstream = _conv_input_grad(dyr, w4, g, n, in_hw, out_hw)
         else:  # normalization: fixed, no parameters, nothing below it
             break

@@ -75,11 +75,16 @@ _YUV_OFFSET = np.array([0.0, 128.0, 128.0], dtype=np.float32)
 
 
 def _to_yuv_batch(rgb_uint8: np.ndarray) -> np.ndarray:
-    """(B, H, W, 3) uint8 -> (B, 3, H, W) float32 YUV."""
-    arr = rgb_uint8.astype(np.float32)
-    yuv = np.einsum("bhwc,kc->bkhw", arr, _YUV_MATRIX, optimize=True)
-    yuv += _YUV_OFFSET[None, :, None, None]
-    return np.clip(yuv, 0.0, 255.0)
+    """(B, H, W, 3) uint8 -> (B, 3, H, W) float32 YUV.
+
+    The result is a transposed view of NHWC memory, the layout the batched
+    network path runs in, so handing it to the network costs no copy.
+    """
+    b, h, w, _ = rgb_uint8.shape
+    yuv = rgb_uint8.reshape(-1, 3).astype(np.float32) @ _YUV_MATRIX.T
+    yuv += _YUV_OFFSET
+    np.clip(yuv, 0.0, 255.0, out=yuv)
+    return yuv.reshape(b, h, w, 3).transpose(0, 3, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -217,12 +222,13 @@ class _MutableWeights:
 
 def _augment_batch(imgs: np.ndarray, labels: np.ndarray, shifts: np.ndarray,
                    gain: float) -> tuple[np.ndarray, np.ndarray]:
-    out = np.empty_like(imgs)
-    h, w = imgs.shape[1:3]
-    for j, s in enumerate(shifts):
-        src = scenes.lateral_source_columns(h, w, float(s))
-        out[j] = np.take_along_axis(imgs[j], src[:, :, np.newaxis], axis=1)
-    return out, (labels - gain * shifts).astype(np.float32)
+    """Lateral viewpoint warp of a (B, H, W, 3) stack, one shift per frame,
+    with the labels re-aimed by ``gain * shift``."""
+    b, h, w = imgs.shape[:3]
+    src = np.stack([scenes.lateral_source_columns(h, w, float(s)) for s in shifts])
+    rows = np.arange(b * h, dtype=np.int64).reshape(b, h, 1) * w  # flat pixel index of each row start
+    out = np.take(imgs.reshape(-1, 3), (rows + src).reshape(-1), axis=0)
+    return out.reshape(imgs.shape), (labels - gain * shifts).astype(np.float32)
 
 
 def train(cfg: NetworkConfig, tc: TrainConfig, dataset: FrameDataset) -> tuple[WeightSet, tuple[float, ...]]:

@@ -17,6 +17,7 @@ from visback.config import (
 from visback.network import (
     InputRangeError,
     NonFiniteOutputError,
+    _loss_and_grads_batch,
     backward,
     forward,
     forward_batch,
@@ -242,6 +243,61 @@ def test_backward_matches_float64_loop_oracle():
         scale = max(np.abs(dw_fd).max(), np.abs(db_fd).max(), 1e-6)
         np.testing.assert_allclose(grads.weight(i), dw_fd.reshape(-1), atol=2e-3 * scale)
         np.testing.assert_allclose(grads.bias(i), db_fd.reshape(-1), atol=2e-3 * scale)
+
+
+def test_single_channel_batched_path_matches_per_frame_path():
+    """With one input channel and no normalization layer, the first conv gets
+    an NHWC view of the NCHW batch whose size-1 channel axis keeps a frame-
+    sized stride. The im2col windows must not read that stride: forward_batch
+    must equal forward frame by frame, and backward (last frame of its own
+    batch) must match the float64 loop oracle."""
+    cfg = NetworkConfig(1, 7, 8, (
+        conv_layer(1, kernel=3, stride=1, in_channels=1),
+        conv_layer(2, kernel=3, stride=2, in_channels=1),
+        fc_layer(1, activation="none"),
+    ))
+    rng = np.random.default_rng(43)
+    ws = random_weights(cfg, rng)
+    imgs = [random_image(cfg, rng) for _ in range(4)]
+    preds = forward_batch(cfg, ws, np.stack([im.data for im in imgs]))
+    for k, img in enumerate(imgs):
+        single = forward(cfg, ws, img)[0].inverse_turning_radius
+        assert preds[k] == pytest.approx(single, rel=1e-5, abs=1e-6)
+    target = 0.25
+    grads, loss = backward(cfg, ws, imgs[0], target)
+    layers = oracle_layers(cfg, ws)
+    x64 = imgs[0].data.astype(np.float64)
+    assert loss == pytest.approx(loss_loops(layers, x64, target), rel=1e-4, abs=1e-7)
+    for i, (dw_fd, db_fd) in enumerate(fd_loss_gradients(layers, x64, target, eps=1e-5)):
+        scale = max(np.abs(dw_fd).max(), np.abs(db_fd).max(), 1e-6)
+        np.testing.assert_allclose(grads.weight(i), dw_fd.reshape(-1), atol=2e-3 * scale)
+        np.testing.assert_allclose(grads.bias(i), db_fd.reshape(-1), atol=2e-3 * scale)
+
+
+def test_batched_gradients_are_mean_of_per_frame_gradients():
+    """At N > 1 the batch axis must stay apart from the spatial and channel
+    axes: the batched loss and gradients equal the mean of N single-frame
+    ``backward`` results. Covers stride 1 and 2 on conv layers with Ci > 1
+    that also scatter an input gradient."""
+    rng = np.random.default_rng(41)
+    n = 5
+    seen_strides = set()
+    for _ in range(8):
+        cfg = random_conv_config(rng, max_conv_layers=3)
+        convs = [cfg.layers[i].geometry for i in cfg.conv_indices()]
+        seen_strides |= {g.stride_h for g in convs[1:] if g.in_channels > 1}
+        ws = random_weights(cfg, rng)
+        imgs = [random_image(cfg, rng) for _ in range(n)]
+        targets = rng.uniform(-1, 1, n).astype(np.float32)
+        loss, grads = _loss_and_grads_batch(cfg, ws, np.stack([im.data for im in imgs]), targets)
+        singles = [backward(cfg, ws, im, float(t)) for im, t in zip(imgs, targets)]
+        assert loss == pytest.approx(np.mean([l for _, l in singles]), rel=1e-5)
+        for i in sorted(ws.arrays):
+            for got, want in ((grads[i][0], np.mean([g.weight(i) for g, _ in singles], axis=0)),
+                              (grads[i][1], np.mean([g.bias(i) for g, _ in singles], axis=0))):
+                scale = max(float(np.abs(want).max()), 1e-6)
+                np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5 * scale)
+    assert seen_strides == {1, 2}
 
 
 def test_backward_gradient_zero_at_exact_fit():

@@ -89,6 +89,17 @@ def test_yuv_batch_matches_single_frame_converter():
         np.testing.assert_allclose(got[i], scenes.rgb_to_yuv(batch[i]), atol=1e-3)
 
 
+def test_forward_batch_is_bit_identical_across_input_layouts():
+    # _to_yuv_batch returns a (B, 3, H, W) view of NHWC memory
+    cfg = tiny_config()
+    ds = tiny_dataset(4, seed=2)
+    view = training._to_yuv_batch(ds.images_rgb)
+    nchw = np.ascontiguousarray(view)
+    assert not view.flags.c_contiguous and nchw.flags.c_contiguous
+    weights = init_weights(cfg, seed=4)
+    assert np.array_equal(forward_batch(cfg, weights, view), forward_batch(cfg, weights, nchw))
+
+
 # ----------------------------------------------------------------- FrameDataset
 
 
@@ -233,15 +244,17 @@ def test_augment_batch_zero_shift_is_identity():
 
 
 def test_augment_batch_applies_shift_and_label_rule():
-    ds = tiny_dataset(2, seed=7)
-    shifts = np.array([0.4, -0.3])
+    # bit-identical to warping each frame on its own with take_along_axis
+    ds = tiny_dataset(5, seed=7)
+    shifts = np.array([0.4, -0.3, 0.0, 1.0, -1.0])
     gain = 0.06
     imgs, labels = training._augment_batch(ds.images_rgb, ds.labels, shifts, gain)
     np.testing.assert_allclose(
         labels, (ds.labels - gain * shifts).astype(np.float32), rtol=0, atol=0
     )
+    assert imgs.shape == ds.images_rgb.shape and imgs.dtype == np.uint8
     h, w = ds.images_rgb.shape[1:3]
-    for j in range(2):
+    for j in range(5):
         src = scenes.lateral_source_columns(h, w, float(shifts[j]))
         expect = np.take_along_axis(ds.images_rgb[j], src[:, :, None], axis=1)
         assert np.array_equal(imgs[j], expect)
