@@ -16,7 +16,21 @@ Two execution paths share the layer semantics:
   gradients back. The last conv map is flattened in (C, H, W) order, so
   FC weights read the same features on both paths.
 
-Both are deterministic functions of (config, weights, input).
+  The batched path is cache-blocked: ``forward_batch`` and
+  ``_loss_and_grads_batch`` run forward and backward over micro-batches of
+  ``MICRO_BATCH`` frames, so a chunk's im2col matrices and activations stay
+  near the L2 cache instead of streaming a whole batch's worth (tens of MB
+  for the 66x200 configs at batch 32) through L3 and DRAM. The loss and the
+  parameter gradients are summed over the chunks with the whole batch's
+  ``2/N`` scale. The input gradient of a strided conv is scattered by stride
+  phase: the kernel taps that land on one phase (row % stride_h,
+  col % stride_w) of the input grid add their GEMMs into contiguous slices of
+  a dense accumulator, and each phase is copied into the strided gradient
+  once.
+
+Both are deterministic functions of (config, weights, input). The batched
+path sums in another order than ``forward``, so its predictions agree with
+the per-frame ones to float32 rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
-from .config import ConfigError, NetworkConfig, validate_config
+from .config import ConfigError, NetworkConfig
 from .tensor import ConvGeometry, ShapeError, Tensor
 from .weights import WeightSet
 
@@ -88,7 +102,6 @@ def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[Stee
     """Run one image through the network; returns the steering value and the trace."""
     if weights.config != cfg:
         raise ConfigError("weight set was built for a different config")
-    validate_config(cfg)
     if image.shape != cfg.input_shape:
         raise ShapeError(f"image shape {image.shape} != config input shape {cfg.input_shape}")
 
@@ -119,6 +132,9 @@ def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[Stee
 
 # --- batched array path ----------------------------------------------------
 
+MICRO_BATCH = 4  # frames per forward/backward chunk; chosen by a sweep over {1, 2, 4, 8, 16}
+
+
 def _conv_forward_batch(x: np.ndarray, w4: np.ndarray, b: np.ndarray, g: ConvGeometry):
     """Valid strided conv on NHWC (N, H, W, Ci) with (Co, Kh, Kw, Ci) weights.
 
@@ -140,28 +156,48 @@ def _conv_forward_batch(x: np.ndarray, w4: np.ndarray, b: np.ndarray, g: ConvGeo
 def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, in_hw, out_hw) -> np.ndarray:
     """Scatter the (N*Ho*Wo, Co) output gradient back onto the NHWC input grid.
 
-    One (Co, Ci) GEMM per kernel tap, added into that tap's strided slice.
+    Output pixel (i, j) of tap (ki, kj) lands on input pixel
+    (i*sh + ki, j*sw + kj), which lies on the stride phase (ki % sh, kj % sw)
+    at phase-grid offset (ki // sh, kj // sw). So each phase gathers its taps'
+    (Co, Ci) GEMMs in a dense accumulator, one contiguous slice per tap, and
+    is copied into its strided view of ``dx`` once. Phase-grid rows and
+    columns past the accumulator (and phases no tap reaches, when the kernel
+    is smaller than the stride) get no gradient.
     """
     h, w = in_hw
     oh, ow = out_hw
-    dx = np.zeros((n, h, w, g.in_channels), dtype=np.float32)
-    span_h = (oh - 1) * g.stride_h + 1
-    span_w = (ow - 1) * g.stride_w + 1
-    for ki in range(g.kernel_h):
-        for kj in range(g.kernel_w):
-            tap = (dyr @ w4[:, ki, kj]).reshape(n, oh, ow, g.in_channels)
-            dx[:, ki : ki + span_h : g.stride_h, kj : kj + span_w : g.stride_w] += tap
+    sh, sw = g.stride_h, g.stride_w
+    dx = np.empty((n, h, w, g.in_channels), dtype=np.float32)
+    for ph in range(sh):
+        for pw in range(sw):
+            grid = dx[:, ph::sh, pw::sw]
+            taps_h, taps_w = range(ph, g.kernel_h, sh), range(pw, g.kernel_w, sw)
+            if not taps_h or not taps_w:
+                grid[...] = 0.0
+                continue
+            acc_h, acc_w = oh + len(taps_h) - 1, ow + len(taps_w) - 1
+            acc = np.zeros((n, acc_h, acc_w, g.in_channels), dtype=np.float32)
+            for a, ki in enumerate(taps_h):
+                for c, kj in enumerate(taps_w):
+                    acc[:, a : a + oh, c : c + ow] += (dyr @ w4[:, ki, kj]).reshape(n, oh, ow, g.in_channels)
+            grid[:, :acc_h, :acc_w] = acc
+            grid[:, acc_h:] = 0.0
+            grid[:, :acc_h, acc_w:] = 0.0
     return dx
 
 
-def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache: bool):
-    """Forward a (N, C, H, W) float32 batch; optionally keep what backward needs.
-
-    Conv activations are NHWC. A batch whose memory already is NHWC, such as
-    the view ``training._to_yuv_batch`` returns, enters without a copy.
-    """
+def _check_batch_shape(cfg: NetworkConfig, x: np.ndarray) -> None:
     if x.ndim != 4 or x.shape[1:] != cfg.input_shape:
         raise ShapeError(f"batch shape {x.shape} incompatible with config input {cfg.input_shape}")
+
+
+def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache: bool):
+    """Forward one micro-batch, (N, C, H, W) float32; optionally keep what backward needs.
+
+    Conv activations are NHWC. A batch whose memory already is NHWC, such as
+    the view ``training._to_yuv_batch`` returns, enters without a copy, so it
+    must not be written to.
+    """
     a = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float32)
     cache: list[tuple] = []
     flattened = False
@@ -170,7 +206,7 @@ def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache
             lo, hi = float(a.min()), float(a.max())
             if lo < 0.0 or hi > 255.0:
                 raise InputRangeError(f"image values must lie in [0, 255], got [{lo}, {hi}]")
-            a = (a / np.float32(NORMALIZATION_SCALE) - np.float32(1.0)).astype(np.float32)
+            a = a / np.float32(NORMALIZATION_SCALE) - np.float32(1.0)
             cache.append(("normalization",))
         elif layer.kind == "conv":
             g = layer.geometry
@@ -181,7 +217,7 @@ def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache
             mask = None
             if layer.activation == "relu":
                 mask = z > 0
-                z = np.where(mask, z, np.float32(0.0))
+                np.maximum(z, np.float32(0.0), out=z)
             cache.append(("conv", i, cols if want_cache else None, mask, in_hw, z.shape[1:3], w4))
             a = z
         else:
@@ -193,7 +229,7 @@ def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache
             mask = None
             if layer.activation == "relu":
                 mask = z > 0
-                z = np.where(mask, z, np.float32(0.0))
+                np.maximum(z, np.float32(0.0), out=z)
             cache.append(("fc", i, a if want_cache else None, mask))
             a = z
     preds = a.reshape(-1).astype(np.float32)
@@ -201,10 +237,18 @@ def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache
 
 
 def forward_batch(cfg: NetworkConfig, weights: WeightSet, images: np.ndarray) -> np.ndarray:
-    """Steering predictions for a stack of images, (N, C, H, W) -> (N,)."""
+    """Steering predictions for a stack of images, (N, C, H, W) -> (N,).
+
+    An empty stack gives an empty (0,) result.
+    """
     if weights.config != cfg:
         raise ConfigError("weight set was built for a different config")
-    preds, _ = _run_batch(cfg, weights, np.asarray(images, dtype=np.float32), want_cache=False)
+    x = np.asarray(images, dtype=np.float32)
+    _check_batch_shape(cfg, x)
+    preds = np.empty(x.shape[0], dtype=np.float32)
+    for lo in range(0, x.shape[0], MICRO_BATCH):
+        chunk, _ = _run_batch(cfg, weights, x[lo : lo + MICRO_BATCH], want_cache=False)
+        preds[lo : lo + MICRO_BATCH] = chunk
     return preds
 
 
@@ -212,18 +256,49 @@ def _loss_and_grads_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
     """Mean squared error over the batch and its gradient for every parameter.
 
     Returns (loss, grads) with grads a dict layer index -> (dW flat, db). The
-    normalization layer has no parameters and receives none.
+    normalization layer has no parameters and receives none. The batch runs
+    in micro-batches of ``MICRO_BATCH`` frames whose gradients are summed.
     """
+    _check_batch_shape(cfg, x)
+    n = x.shape[0]
+    if n == 0:
+        raise ShapeError("cannot compute a loss over an empty batch")
+    if np.shape(targets) != (n,):
+        raise ShapeError(f"targets shape {np.shape(targets)} does not match a batch of {n}")
+    scale = np.float32(2.0 / n)
+    sq_sum = 0.0
+    grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for lo in range(0, n, MICRO_BATCH):
+        # the chunk body is called directly, so a wrapper on this function's
+        # module attribute sees one call per batch
+        chunk_sq, chunk_grads = _chunk_loss_and_grads(
+            cfg, weights, x[lo : lo + MICRO_BATCH], targets[lo : lo + MICRO_BATCH], scale)
+        sq_sum += chunk_sq
+        if not grads:
+            grads = chunk_grads
+            continue
+        for i, (dw, db) in chunk_grads.items():
+            gw, gb = grads[i]
+            gw += dw
+            gb += db
+    return sq_sum / n, grads
+
+
+def _chunk_loss_and_grads(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, targets: np.ndarray,
+                          scale: np.float32):
+    """One micro-batch of ``_loss_and_grads_batch``: the sum of its squared
+    errors and its parameter gradients, with ``scale`` (2 / whole-batch N)
+    as the loss gradient per unit of prediction error."""
     n = x.shape[0]
     preds, cache = _run_batch(cfg, weights, x, want_cache=True)
     diff = preds - targets.astype(np.float32)
-    loss = float(np.mean(diff.astype(np.float64) ** 2))
+    sq = float(np.sum(diff.astype(np.float64) ** 2))
 
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     conv_positions = [k for k, c in enumerate(cache) if c[0] == "conv"]
     first_conv = conv_positions[0] if conv_positions else None
 
-    upstream = (np.float32(2.0 / n) * diff).reshape(n, 1)  # d loss / d last-layer output
+    upstream = (scale * diff).reshape(n, 1)  # d loss / d last-layer output
     for k in range(len(cache) - 1, -1, -1):
         entry = cache[k]
         if entry[0] == "fc":
@@ -253,7 +328,7 @@ def _loss_and_grads_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
                 upstream = _conv_input_grad(dyr, w4, g, n, in_hw, out_hw)
         else:  # normalization: fixed, no parameters, nothing below it
             break
-    return loss, grads
+    return sq, grads
 
 
 def backward(cfg: NetworkConfig, weights: WeightSet, image: Tensor, target: float):

@@ -281,6 +281,8 @@ def train(cfg: NetworkConfig, tc: TrainConfig, dataset: FrameDataset) -> tuple[W
 def evaluate_mse(cfg: NetworkConfig, weights: WeightSet, dataset: FrameDataset,
                  batch_size: int = 64) -> float:
     """Mean squared steering error over the un-augmented dataset."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = len(dataset)
     if n == 0:
         raise DatasetError("cannot evaluate on an empty dataset")

@@ -1,10 +1,14 @@
 """Forward pass, activation trace, and loss gradients."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import oracle_layers, random_conv_config, random_image, random_weights
-from oracles import fd_loss_gradients, forward_loops, loss_loops
+from oracles import conv2d_loops, fd_loss_gradients, forward_loops, loss_loops
+from visback import config as config_module
+from visback import network
 from visback.config import (
     ConfigError,
     LayerSpec,
@@ -15,15 +19,17 @@ from visback.config import (
     validate_config,
 )
 from visback.network import (
+    MICRO_BATCH,
     InputRangeError,
     NonFiniteOutputError,
+    _conv_input_grad,
     _loss_and_grads_batch,
     backward,
     forward,
     forward_batch,
     normalize_input,
 )
-from visback.tensor import ShapeError, Tensor
+from visback.tensor import ConvGeometry, ShapeError, Tensor
 from visback.weights import WeightSet, init_weights, parameter_shapes, zero_weights
 
 
@@ -114,8 +120,32 @@ def test_forward_rejects_mismatched_config_and_shape():
     img = Tensor(np.zeros(cfg.input_shape, dtype=np.float32))
     with pytest.raises(ConfigError):
         forward(cfg, other, img)
+    # same parameter shapes, different activation: only the config check tells them apart
+    relu_head = NetworkConfig(cfg.input_channels, cfg.input_height, cfg.input_width,
+                                cfg.layers[:-1] + (fc_layer(1, activation="relu"),))
+    with pytest.raises(ConfigError):
+        forward(cfg, init_weights(relu_head, seed=0), img)
     with pytest.raises(ShapeError):
         forward(cfg, ws, Tensor.zeros(3, 10, 10))
+
+
+def test_forward_does_not_revalidate_config(monkeypatch):
+    """A WeightSet validates its config when built and ``forward`` checks that
+    the weights were built for ``cfg``, so a forward pass walks no shape table."""
+    cfg = toy_config()
+    ws = init_weights(cfg, seed=0)
+    calls = []
+    original = config_module.validate_config
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("visback") and getattr(module, "validate_config", None) is original:
+            monkeypatch.setattr(module, "validate_config", counting)
+    forward(cfg, ws, Tensor(np.full(cfg.input_shape, 100.0, dtype=np.float32)))
+    assert calls == []
 
 
 def test_forward_nonfinite_output_raises():
@@ -156,6 +186,15 @@ def test_forward_batch_matches_single_forward():
     for k in range(5):
         single = forward(cfg, ws, Tensor(imgs[k]))[0].inverse_turning_radius
         assert preds[k] == pytest.approx(single, rel=1e-5, abs=1e-6)
+
+
+def test_forward_batch_of_no_frames_is_empty():
+    cfg = toy_config()
+    ws = init_weights(cfg, seed=0)
+    preds = forward_batch(cfg, ws, np.zeros((0,) + cfg.input_shape, dtype=np.float32))
+    assert preds.shape == (0,) and preds.dtype == np.float32
+    with pytest.raises(ShapeError):
+        forward_batch(cfg, ws, np.zeros((0, 3, 10, 10), dtype=np.float32))
 
 
 # --- backward ---------------------------------------------------------------
@@ -307,3 +346,103 @@ def test_backward_gradient_zero_at_exact_fit():
     assert loss == pytest.approx(0.0)
     assert grads.weight(0)[0] == pytest.approx(0.0)
     assert grads.bias(0)[0] == pytest.approx(0.0)
+
+
+def test_loss_rejects_empty_batch_and_mismatched_targets():
+    cfg = toy_config()
+    ws = init_weights(cfg, seed=0)
+    with pytest.raises(ShapeError):
+        _loss_and_grads_batch(cfg, ws, np.zeros((0,) + cfg.input_shape, dtype=np.float32), np.zeros(0, np.float32))
+    # more targets than frames would otherwise go unnoticed once the batch is cut into chunks
+    x = np.full((MICRO_BATCH + 1,) + cfg.input_shape, 100.0, dtype=np.float32)
+    for n_targets in (MICRO_BATCH, MICRO_BATCH + 2):
+        with pytest.raises(ShapeError):
+            _loss_and_grads_batch(cfg, ws, x, np.zeros(n_targets, np.float32))
+
+
+@pytest.mark.parametrize("n", [1, MICRO_BATCH, 2 * MICRO_BATCH + 1])
+def test_micro_batch_edges_match_per_frame_results(n, monkeypatch):
+    """A batch runs in chunks of MICRO_BATCH frames, the last one holding the
+    remainder. At one frame, one full chunk and two chunks plus one frame,
+    the loss and gradients equal the mean of per-frame ``backward`` results
+    and ``forward_batch`` equals per-frame ``forward``, at the tolerances of
+    the two N=5 tests above."""
+    chunks = []
+    run_batch = network._run_batch
+
+    def recording(cfg, weights, x, want_cache):
+        chunks.append(x.shape[0])
+        return run_batch(cfg, weights, x, want_cache)
+
+    monkeypatch.setattr(network, "_run_batch", recording)
+    rng = np.random.default_rng(47 + n)
+    want_chunks = [MICRO_BATCH] * (n // MICRO_BATCH) + ([n % MICRO_BATCH] if n % MICRO_BATCH else [])
+    for _ in range(3):
+        cfg = random_conv_config(rng, max_conv_layers=3)
+        ws = random_weights(cfg, rng)
+        imgs = [random_image(cfg, rng) for _ in range(n)]
+        x = np.stack([im.data for im in imgs])
+        targets = rng.uniform(-1, 1, n).astype(np.float32)
+
+        chunks.clear()
+        preds = forward_batch(cfg, ws, x)
+        assert chunks == want_chunks
+        for k, img in enumerate(imgs):
+            single = forward(cfg, ws, img)[0].inverse_turning_radius
+            assert preds[k] == pytest.approx(single, rel=1e-5, abs=1e-6)
+
+        chunks.clear()
+        loss, grads = _loss_and_grads_batch(cfg, ws, x, targets)
+        assert chunks == want_chunks
+        singles = [backward(cfg, ws, im, float(t)) for im, t in zip(imgs, targets)]
+        assert loss == pytest.approx(np.mean([l for _, l in singles]), rel=1e-5)
+        for i in sorted(ws.arrays):
+            for got, want in ((grads[i][0], np.mean([g.weight(i) for g, _ in singles], axis=0)),
+                              (grads[i][1], np.mean([g.bias(i) for g, _ in singles], axis=0))):
+                scale = max(float(np.abs(want).max()), 1e-6)
+                np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5 * scale)
+
+
+def _input_grad_loops(dy: np.ndarray, w4: np.ndarray, sh: int, sw: int, in_hw) -> np.ndarray:
+    """Input gradient of a conv by its definition: conv2d_loops is linear in x
+    (zero bias), so dL/dx[c, y, x] is the response to the unit input at
+    (c, y, x), dotted with dy. dy (N, Co, Ho, Wo), w4 (Co, Ci, Kh, Kw)."""
+    co, ci, kh, kw = w4.shape
+    h, w = in_hw
+    dx = np.zeros((dy.shape[0], ci, h, w))
+    for c in range(ci):
+        for y in range(h):
+            for x in range(w):
+                unit = np.zeros((ci, h, w))
+                unit[c, y, x] = 1.0
+                response = conv2d_loops(unit, w4, np.zeros(co), sh, sw)
+                dx[:, c, y, x] = np.tensordot(dy, response, axes=3)
+    return dx
+
+
+@pytest.mark.parametrize("kernel, stride, in_hw", [
+    ((3, 3), (1, 1), (7, 6)),
+    ((3, 3), (2, 2), (8, 9)),     # kernel not a multiple of the stride; (8 - 3) % 2 = 1
+    ((4, 4), (2, 2), (9, 10)),    # (9 - 4) % 2 = 1
+    ((5, 5), (3, 3), (12, 13)),   # (12 - 5) % 3 = 1, (13 - 5) % 3 = 2
+    ((2, 2), (3, 3), (10, 11)),   # kernel smaller than the stride: phase 2 gets no tap
+    ((3, 2), (2, 3), (9, 11)),    # unequal kernel and stride sides
+], ids=["s1-k3", "s2-k3", "s2-k4", "s3-k5", "s3-k2", "s2x3-k3x2"])
+def test_conv_input_grad_phase_scatter_matches_loop_oracle(kernel, stride, in_hw):
+    """The stride-phase scatter equals the float64 loop definition, including
+    the phase-grid rows and columns past every tap's span, which must come
+    out zero although ``dx`` starts uninitialized."""
+    rng = np.random.default_rng(53)
+    n, ci, co = 2, 2, 3
+    g = ConvGeometry(kernel[0], kernel[1], stride[0], stride[1], ci, co)
+    oh, ow = g.output_hw(*in_hw)
+    w_oihw = rng.uniform(-1, 1, (co, ci) + kernel)
+    dy = rng.uniform(-1, 1, (n, co, oh, ow))
+    want = _input_grad_loops(dy, w_oihw, stride[0], stride[1], in_hw)
+    dyr = dy.transpose(0, 2, 3, 1).reshape(-1, co).astype(np.float32)
+    w4 = np.ascontiguousarray(w_oihw.transpose(0, 2, 3, 1), dtype=np.float32)
+    for _ in range(3):
+        # freed at once: leaves NaN garbage where the next np.empty is likely to land
+        np.full((n, in_hw[0], in_hw[1], ci), np.nan, dtype=np.float32)
+        got = _conv_input_grad(dyr, w4, g, n, in_hw, (oh, ow)).transpose(0, 3, 1, 2)
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)

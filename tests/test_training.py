@@ -2,10 +2,12 @@
 behavioral contracts (zero-rate no-op, memorization, divergence, mirror
 symmetry)."""
 
+import math
+
 import numpy as np
 import pytest
 
-from visback import scenes, training
+from visback import network, scenes, training
 from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer
 from visback.network import forward_batch
 from visback.training import (
@@ -346,6 +348,30 @@ def test_evaluate_mse_zero_weights_gives_label_power():
     assert mse == pytest.approx(float(np.mean(ds.labels.astype(np.float64) ** 2)), rel=1e-6)
     with pytest.raises(DatasetError):
         evaluate_mse(cfg, zero_weights(cfg), generate_dataset(0, width=16, height=12))
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_evaluate_mse_rejects_batch_size_below_one(batch_size):
+    cfg = tiny_config()
+    with pytest.raises(ValueError, match="batch_size"):
+        evaluate_mse(cfg, zero_weights(cfg), tiny_dataset(3, seed=12), batch_size=batch_size)
+
+
+def test_train_enters_loss_and_grads_once_per_sgd_step(monkeypatch):
+    """Tools that wrap ``network._loss_and_grads_batch`` see one call per SGD
+    step: the micro-batches inside a step do not come back through it."""
+    calls = []
+    original = network._loss_and_grads_batch
+
+    def counting(cfg, weights, x, targets):
+        calls.append(x.shape[0])
+        return original(cfg, weights, x, targets)
+
+    monkeypatch.setattr(network, "_loss_and_grads_batch", counting)
+    n, batch_size, epochs = 11, 2 * network.MICRO_BATCH + 1, 3
+    train(tiny_config(), TrainConfig(batch_size=batch_size, epochs=epochs, seed=4), tiny_dataset(n, seed=6))
+    assert len(calls) == epochs * math.ceil(n / batch_size)
+    assert sum(calls) == epochs * n
 
 
 # ------------------------------------------------------- mirror consistency
