@@ -10,6 +10,7 @@ value). Shape arithmetic is validated end to end before any weights exist.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -141,22 +142,14 @@ def validate_config(cfg: NetworkConfig) -> list[LayerShape]:
 
 
 def fc_input_lengths(cfg: NetworkConfig) -> dict[int, int]:
-    """Input vector length of every fully connected layer, keyed by layer index."""
-    out: dict[int, int] = {}
-    spatial: Optional[tuple[int, int, int]] = cfg.input_shape
-    flat_len = 0
-    for i, layer in enumerate(cfg.layers):
-        if layer.kind == "conv":
-            g = layer.geometry
-            oh, ow = g.output_hw(spatial[1], spatial[2])
-            spatial = (g.out_channels, oh, ow)
-        elif layer.kind == "fully_connected":
-            if spatial is not None:
-                flat_len = spatial[0] * spatial[1] * spatial[2]
-                spatial = None
-            out[i] = flat_len
-            flat_len = layer.units
-    return out
+    """Input vector length of every fully connected layer, keyed by layer index:
+    the flattened output of the row before it in the validation table."""
+    table = validate_config(cfg)
+    return {
+        row.index: math.prod(table[row.index - 1].output_shape if row.index else cfg.input_shape)
+        for row in table
+        if row.kind == "fully_connected"
+    }
 
 
 def default_config() -> NetworkConfig:

@@ -11,8 +11,6 @@ slope and Class 2 should be comparatively flat.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +26,6 @@ DEFAULT_DILATION_RADIUS = 30  # tuned for 200-px-wide input
 DEFAULT_SHIFTS = tuple(range(-40, 41, 4))
 
 MODES = ("class1", "class2", "all")
-
-THREADS_ENV_VAR = "VISBACK_THREADS"
 
 
 def scaled_dilation_radius(width: int, base_radius: int = DEFAULT_DILATION_RADIUS, base_width: int = 200) -> int:
@@ -197,45 +193,22 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> LineFit:
     return LineFit(slope, intercept, r2)
 
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        limit = int(raw) if raw else 1
-    except ValueError:
-        limit = 1
-    return max(1, min(limit, n_tasks))
-
-
 def run_shift_experiment(cfg: NetworkConfig, weights: WeightSet, image: Tensor,
                          seg: ClassSegmentation, shifts=DEFAULT_SHIFTS) -> ShiftExperimentResult:
     """Evaluate steering for every (shift, mode) pair and fit a line per mode.
 
-    Rows are assembled in ascending shift order no matter how the forward
-    passes are scheduled; VISBACK_THREADS > 1 enables a thread pool over the
-    independent evaluations.
+    Rows come out in ascending shift order; each perturbed frame gets its own
+    per-frame forward pass.
     """
     shift_list = sorted(set(int(s) for s in shifts))
     if 0 not in shift_list:
         raise ValueError("the shift list must include 0 (the unperturbed frame)")
 
-    tasks = [(mode, dx) for mode in MODES for dx in shift_list]
-
-    def evaluate(task):
-        mode, dx = task
-        shifted = shift_class(image, seg, mode, dx)
-        out, _ = network.forward(cfg, weights, shifted)
-        return out.inverse_turning_radius
-
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(evaluate, tasks))
-    else:
-        values = [evaluate(t) for t in tasks]
-
     by_mode = {mode: [] for mode in MODES}
-    for (mode, _), v in zip(tasks, values):
-        by_mode[mode].append(v)
+    for mode in MODES:
+        for dx in shift_list:
+            out, _ = network.forward(cfg, weights, shift_class(image, seg, mode, dx))
+            by_mode[mode].append(out.inverse_turning_radius)
 
     xs = np.asarray(shift_list, dtype=np.float64)
     fits = {mode: fit_line(xs, np.asarray(by_mode[mode])) for mode in MODES}

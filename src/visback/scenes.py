@@ -73,19 +73,36 @@ def ground_truth_steering(lane_offset: float, heading: float, curvature: float) 
     return float(curvature - OFFSET_GAIN * lane_offset - HEADING_GAIN * heading)
 
 
+_YUV_MATRIX = np.array(
+    [
+        [0.299, 0.587, 0.114],
+        [-0.168736, -0.331264, 0.5],
+        [0.5, -0.418688, -0.081312],
+    ],
+    dtype=np.float32,
+)
+_YUV_OFFSET = np.array([0.0, 128.0, 128.0], dtype=np.float32)
+
+
+def _yuv_channels_last(rgb: np.ndarray) -> np.ndarray:
+    """(..., 3) RGB -> (..., 3) float32 YUV, full range, U/V centered at 128.
+
+    One pixel per GEMM row. The per-frame and the batched converters both
+    run this, so a frame converts to the same bits alone or in a batch.
+    """
+    yuv = rgb.reshape(-1, 3).astype(np.float32) @ _YUV_MATRIX.T
+    yuv += _YUV_OFFSET
+    np.clip(yuv, 0.0, 255.0, out=yuv)
+    return yuv.reshape(rgb.shape)
+
+
 def rgb_to_yuv(rgb: np.ndarray) -> np.ndarray:
-    """(H, W, 3) uint8 RGB -> (3, H, W) float32 YUV, full range, U/V centered at 128."""
+    """(H, W, 3) uint8 RGB -> (3, H, W) float32 YUV, a transposed view of
+    (H, W, 3) memory."""
     arr = np.asarray(rgb)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3), got {arr.shape}")
-    r = arr[:, :, 0].astype(np.float32)
-    g = arr[:, :, 1].astype(np.float32)
-    b = arr[:, :, 2].astype(np.float32)
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    u = -0.168736 * r - 0.331264 * g + 0.5 * b + 128.0
-    v = 0.5 * r - 0.418688 * g - 0.081312 * b + 128.0
-    out = np.stack([y, u, v]).astype(np.float32)
-    return np.clip(out, 0.0, 255.0)
+    return _yuv_channels_last(arr).transpose(2, 0, 1)
 
 
 def yuv_to_rgb(yuv: np.ndarray) -> np.ndarray:
@@ -224,23 +241,3 @@ def lateral_source_columns(height: int, width: int, shift_m: float) -> np.ndarra
     cols = np.arange(width, dtype=np.int64)
     src = cols[None, :] - k[:, None]
     return np.clip(src, 0, width - 1)
-
-
-def warp_lateral(image: Tensor, shift_m: float) -> Tensor:
-    """Row-wise horizontal warp of a (C, H, W) tensor simulating a camera shift."""
-    src = lateral_source_columns(image.height, image.width, shift_m)
-    warped = np.take_along_axis(image.data, src[np.newaxis], axis=2)
-    return Tensor._wrap(np.ascontiguousarray(warped))
-
-
-def augment(frame: LabeledFrame, lateral_shift: float, gain: float = OFFSET_GAIN,
-            max_shift: float = 1.0) -> LabeledFrame:
-    """Viewpoint-shifted copy of a frame with the steering label re-aimed at
-    lane center: adjusted = original - gain * lateral_shift (a rightward shift
-    demands a leftward correction)."""
-    if abs(lateral_shift) > max_shift:
-        raise ValueError(f"|lateral_shift| must be <= {max_shift} m, got {lateral_shift}")
-    if lateral_shift == 0.0:
-        return frame
-    warped = warp_lateral(frame.image_yuv, lateral_shift)
-    return LabeledFrame(warped, frame.steering - gain * lateral_shift)

@@ -63,28 +63,13 @@ class TrainConfig:
             raise ValueError(f"steering_correction_gain must be > 0, got {self.steering_correction_gain}")
 
 
-_YUV_MATRIX = np.array(
-    [
-        [0.299, 0.587, 0.114],
-        [-0.168736, -0.331264, 0.5],
-        [0.5, -0.418688, -0.081312],
-    ],
-    dtype=np.float32,
-)
-_YUV_OFFSET = np.array([0.0, 128.0, 128.0], dtype=np.float32)
-
-
 def _to_yuv_batch(rgb_uint8: np.ndarray) -> np.ndarray:
     """(B, H, W, 3) uint8 -> (B, 3, H, W) float32 YUV.
 
     The result is a transposed view of NHWC memory, the layout the batched
     network path runs in, so handing it to the network costs no copy.
     """
-    b, h, w, _ = rgb_uint8.shape
-    yuv = rgb_uint8.reshape(-1, 3).astype(np.float32) @ _YUV_MATRIX.T
-    yuv += _YUV_OFFSET
-    np.clip(yuv, 0.0, 255.0, out=yuv)
-    return yuv.reshape(b, h, w, 3).transpose(0, 3, 1, 2)
+    return scenes._yuv_channels_last(rgb_uint8).transpose(0, 3, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -206,20 +191,6 @@ def generate_dataset(n: int, style: str = "mixed", seed: int = 0,
     return FrameDataset(images, labels)
 
 
-class _MutableWeights:
-    """Duck-typed stand-in for WeightSet during the update loop."""
-
-    def __init__(self, cfg: NetworkConfig, arrays):
-        self.config = cfg
-        self.arrays = arrays
-
-    def weight(self, i: int) -> np.ndarray:
-        return self.arrays[i][0]
-
-    def bias(self, i: int) -> np.ndarray:
-        return self.arrays[i][1]
-
-
 def _augment_batch(imgs: np.ndarray, labels: np.ndarray, shifts: np.ndarray,
                    gain: float) -> tuple[np.ndarray, np.ndarray]:
     """Lateral viewpoint warp of a (B, H, W, 3) stack, one shift per frame,
@@ -249,8 +220,10 @@ def train(cfg: NetworkConfig, tc: TrainConfig, dataset: FrameDataset) -> tuple[W
 
     rng = np.random.default_rng(tc.seed)
     start = init_weights(cfg, seed=tc.seed)
-    arrays = {i: (w.copy(), b.copy()) for i, (w, b) in start.arrays.items()}
-    mutable = _MutableWeights(cfg, arrays)
+    buffers = {i: (w.copy(), b.copy()) for i, (w, b) in start.arrays.items()}
+    # The WeightSet's arrays are read-only views of these buffers, so the
+    # in-place updates below show through it.
+    weights = WeightSet(cfg, buffers)
 
     lr = np.float32(tc.learning_rate)
     losses: list[float] = []
@@ -265,17 +238,17 @@ def train(cfg: NetworkConfig, tc: TrainConfig, dataset: FrameDataset) -> tuple[W
                 shifts = rng.uniform(-tc.augmentation_shift_range, tc.augmentation_shift_range, idx.size)
                 imgs, labs = _augment_batch(imgs, labs, shifts, tc.steering_correction_gain)
             x = _to_yuv_batch(imgs)
-            loss, grads = network._loss_and_grads_batch(cfg, mutable, x, labs)
+            loss, grads = network._loss_and_grads_batch(cfg, weights, x, labs)
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, loss)
             for i, (gw, gb) in grads.items():
-                w, b = arrays[i]
+                w, b = buffers[i]
                 w -= lr * gw
                 b -= lr * gb
             total += loss * idx.size
         losses.append(total / n)
 
-    return WeightSet(cfg, arrays), tuple(losses)
+    return weights, tuple(losses)
 
 
 def evaluate_mse(cfg: NetworkConfig, weights: WeightSet, dataset: FrameDataset,

@@ -30,7 +30,6 @@ from .config import (
     canonical_json,
     config_from_dict,
     fc_input_lengths,
-    validate_config,
 )
 
 MAGIC = b"PNW1"
@@ -50,7 +49,6 @@ class WeightChecksumError(WeightFileError):
 
 def parameter_shapes(cfg: NetworkConfig) -> dict[int, tuple[int, int]]:
     """Expected (weight count, bias count) per trainable layer index."""
-    validate_config(cfg)
     fc_in = fc_input_lengths(cfg)
     shapes: dict[int, tuple[int, int]] = {}
     for i, layer in enumerate(cfg.layers):
@@ -103,18 +101,11 @@ def zero_weights(cfg: NetworkConfig) -> WeightSet:
 def init_weights(cfg: NetworkConfig, seed: int) -> WeightSet:
     """Seeded uniform init in [-s, s] with s = 1/sqrt(fan_in); biases start at zero."""
     rng = np.random.default_rng(seed)
-    fc_in = fc_input_lengths(cfg)
     arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for i, layer in enumerate(cfg.layers):
-        if layer.kind == "conv":
-            g = layer.geometry
-            fan_in = g.in_channels * g.kernel_h * g.kernel_w
-            w = rng.uniform(-1.0, 1.0, g.weight_count()) / np.sqrt(fan_in)
-            arrays[i] = (w.astype(np.float32), np.zeros(g.out_channels, np.float32))
-        elif layer.kind == "fully_connected":
-            fan_in = fc_in[i]
-            w = rng.uniform(-1.0, 1.0, layer.units * fan_in) / np.sqrt(fan_in)
-            arrays[i] = (w.astype(np.float32), np.zeros(layer.units, np.float32))
+    for i, (n_w, n_b) in parameter_shapes(cfg).items():
+        fan_in = n_w // n_b  # one weight per input per output unit or channel
+        w = rng.uniform(-1.0, 1.0, n_w) / np.sqrt(fan_in)
+        arrays[i] = (w.astype(np.float32), np.zeros(n_b, np.float32))
     return WeightSet(cfg, arrays)
 
 
@@ -166,8 +157,13 @@ def load_weights(path) -> WeightSet:
             raise
         raise WeightFileError(f"{path}: embedded config unreadable: {exc}") from exc
 
+    try:
+        shapes = parameter_shapes(cfg)
+    except ConfigError as exc:
+        raise WeightFileError(f"{path}: embedded config invalid: {exc}") from exc
+
     arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for i in sorted(parameter_shapes(cfg)):
+    for i in sorted(shapes):
         (wlen,) = struct.unpack("<I", take(4, f"layer {i} weight length"))
         w = np.frombuffer(take(4 * wlen, f"layer {i} weights"), dtype="<f4")
         (blen,) = struct.unpack("<I", take(4, f"layer {i} bias length"))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer
 from visback.tensor import Tensor
@@ -100,3 +101,19 @@ def trained_model():
     weights, losses = train(cfg, tc, dataset)
     elapsed = time.perf_counter() - start
     return cfg, weights, losses, dataset, elapsed
+
+
+def corruptions(size: int):
+    """Strategy for one damage to a file of `size` bytes: ("cut", kept length)
+    or ("flip", bit index)."""
+    return st.one_of(st.tuples(st.just("cut"), st.integers(0, size - 1)),
+                     st.tuples(st.just("flip"), st.integers(0, 8 * size - 1)))
+
+
+def corrupt(blob: bytes, damage) -> bytes:
+    kind, k = damage
+    if kind == "cut":
+        return blob[:k]
+    out = bytearray(blob)
+    out[k // 8] ^= 1 << (k % 8)
+    return bytes(out)

@@ -223,13 +223,15 @@ def test_explain_wrong_image_size_is_data_error(workbench, tmp_path, capsys):
 
 
 def test_explain_corrupt_weights_is_data_error(workbench, tmp_path, capsys):
-    bad = tmp_path / "bad.pnw"
-    raw = bytearray(workbench["weights_path"].read_bytes())
-    raw[:4] = b"XXXX"
-    bad.write_bytes(raw)
-    rc = main(["explain", "--weights", str(bad),
-               "--image", str(workbench["frame0"]), "--out", str(tmp_path / "o")])
-    assert rc == EXIT_DATA
+    raw = workbench["weights_path"].read_bytes()
+    flipped = bytearray(raw)
+    flipped[-5] ^= 0x04  # one bit of the last bias, just before the crc32
+    for name, blob in (("magic.pnw", b"XXXX" + raw[4:]), ("flipped.pnw", bytes(flipped))):
+        bad = tmp_path / name
+        bad.write_bytes(blob)
+        rc = main(["explain", "--weights", str(bad),
+                   "--image", str(workbench["frame0"]), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DATA, name
     capsys.readouterr()
 
 

@@ -1,8 +1,6 @@
 """Shift-experiment machinery: thresholding, dilation, per-class translation,
 line fitting, and the experiment driver."""
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +13,6 @@ from visback.harness import (
     CSV_HEADER,
     DEFAULT_SHIFTS,
     MODES,
-    THREADS_ENV_VAR,
     ClassSegmentation,
     dilate,
     fit_line,
@@ -316,22 +313,6 @@ def test_experiment_zero_shift_row_equal_across_modes():
     res = run_shift_experiment(cfg, ws, img, s, shifts=[-2, 0, 2])
     i0 = res.shifts.index(0)
     assert res.steer_class1[i0] == res.steer_class2[i0] == res.steer_all[i0]
-
-
-def test_experiment_thread_pool_equivalence():
-    cfg, ws, img, s = tiny_net()
-    old = os.environ.get(THREADS_ENV_VAR)
-    try:
-        os.environ[THREADS_ENV_VAR] = "1"
-        serial = run_shift_experiment(cfg, ws, img, s, shifts=[-4, -2, 0, 2, 4])
-        os.environ[THREADS_ENV_VAR] = "4"
-        pooled = run_shift_experiment(cfg, ws, img, s, shifts=[-4, -2, 0, 2, 4])
-    finally:
-        if old is None:
-            os.environ.pop(THREADS_ENV_VAR, None)
-        else:
-            os.environ[THREADS_ENV_VAR] = old
-    assert serial == pooled  # bit-exact: same single-image forward per task
 
 
 def test_default_shift_range():

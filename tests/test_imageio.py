@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corrupt, corruptions
 from visback.imageio import (
     ImageFormatError,
     MaskFileError,
@@ -147,3 +148,33 @@ def test_mask_dump_rejects_out_of_range_values(tmp_path):
     path.write_bytes(MASK_MAGIC + struct.pack("<II", 1, 1) + payload)
     with pytest.raises(MaskFileError):
         read_mask_dump(path)
+
+
+# A damaged file reads back or raises the format's own error; nothing else
+# (IndexError, struct.error, ...) may escape. Neither format has a checksum.
+
+@given(st.data())
+@settings(max_examples=200)
+def test_ppm_reader_survives_one_cut_or_bit_flip(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "f.ppm"
+    write_ppm(path, np.random.default_rng(2).integers(0, 256, (5, 7, 3), dtype=np.uint8))
+    blob = path.read_bytes()
+    path.write_bytes(corrupt(blob, data.draw(corruptions(len(blob)))))
+    try:
+        read_ppm(path)
+    except ImageFormatError:
+        pass
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_mask_reader_survives_one_cut_or_bit_flip(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "m.msk"
+    values = np.random.default_rng(3).uniform(0.0, 1.0, (1, 3, 4)).astype(np.float32)
+    write_mask_dump(path, VisualizationMask(Tensor(values)))
+    blob = path.read_bytes()
+    path.write_bytes(corrupt(blob, data.draw(corruptions(len(blob)))))
+    try:
+        read_mask_dump(path)
+    except MaskFileError:
+        pass

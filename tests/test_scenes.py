@@ -14,21 +14,26 @@ from visback.scenes import (
     STYLES,
     LabeledFrame,
     SceneParams,
-    augment,
     ground_truth_steering,
     lateral_source_columns,
     render_scene,
     render_scene_rgb,
     rgb_to_yuv,
-    warp_lateral,
     yuv_to_rgb,
 )
 from visback.tensor import Tensor
+from visback.training import _augment_batch
 
 
 def params(offset=0.0, heading=0.0, curvature=0.0, style="lane_marked", seed=0):
     return SceneParams(lane_offset=offset, heading=heading, curvature=curvature,
                        style=style, seed=seed)
+
+
+def augment_one(rgb, label, shift, gain=OFFSET_GAIN):
+    """One (H, W, 3) frame through the training augmenter as a batch of one."""
+    imgs, labels = _augment_batch(rgb[np.newaxis], np.array([label], np.float32), np.array([shift]), gain)
+    return imgs[0], float(labels[0])
 
 
 # --- ground-truth steering ----------------------------------------------------
@@ -177,14 +182,18 @@ def test_warp_moves_content_left_for_rightward_shift():
 
 def test_warp_zero_is_identity():
     rng = np.random.default_rng(3)
-    img = Tensor(rng.uniform(0, 255, (3, 12, 20)).astype(np.float32))
-    np.testing.assert_array_equal(warp_lateral(img, 0.0).data, img.data)
+    img = rng.integers(0, 256, (12, 20, 3), dtype=np.uint8)
+    warped, _ = augment_one(img, 0.0, 0.0)
+    np.testing.assert_array_equal(warped, img)
 
 
 def test_warp_clamps_at_edges():
-    img = Tensor(np.tile(np.arange(20, dtype=np.float32), (1, 12, 1)))
-    out = warp_lateral(img, 1.0)
-    assert out.data.min() >= 0.0 and out.data.max() <= 19.0
+    img = np.repeat(np.tile(np.arange(20, dtype=np.uint8), (12, 1))[:, :, None], 3, axis=2)
+    out, _ = augment_one(img, 0.0, 1.0)
+    # each pixel reads its clamped source column; the bottom row runs off the
+    # right edge, which is replicated
+    np.testing.assert_array_equal(out[:, :, 0], lateral_source_columns(12, 20, 1.0))
+    assert (out[-1, :, 0] == 19).sum() > 1
 
 
 def test_warp_approximates_rerendered_shifted_scene():
@@ -193,7 +202,8 @@ def test_warp_approximates_rerendered_shifted_scene():
     base = params(offset=-0.2, heading=0.0, curvature=0.0, style="grass_edge", seed=4)
     s = 0.4
     moved = params(offset=-0.2 + s, heading=0.0, curvature=0.0, style="grass_edge", seed=4)
-    warped = warp_lateral(Tensor(rgb_to_yuv(render_scene_rgb(base))), s).data
+    warped_rgb, _ = augment_one(render_scene_rgb(base), 0.0, s)
+    warped = rgb_to_yuv(warped_rgb)
     rerendered = rgb_to_yuv(render_scene_rgb(moved))
     # compare luminance on ground rows, away from clamped borders
     diff = np.abs(warped[0, 40:, 30:170] - rerendered[0, 40:, 30:170])
@@ -201,42 +211,41 @@ def test_warp_approximates_rerendered_shifted_scene():
 
 
 # --- augmentation --------------------------------------------------------------------
+# Labels come back as float32, so label arithmetic holds to float32 rounding.
 
 def test_augment_zero_shift_returns_same_frame():
-    frame = render_scene(params(offset=0.1))
-    assert augment(frame, 0.0) is frame
+    p = params(offset=0.1)
+    rgb = render_scene_rgb(p)
+    label = ground_truth_steering(p.lane_offset, p.heading, p.curvature)
+    out, out_label = augment_one(rgb, label, 0.0)
+    np.testing.assert_array_equal(out, rgb)
+    assert out_label == np.float32(label)
 
 
 def test_augment_label_correction_is_antisymmetric():
-    frame = render_scene(params(offset=0.1, heading=0.01))
-    plus = augment(frame, 0.5)
-    minus = augment(frame, -0.5)
-    d_plus = plus.steering - frame.steering
-    d_minus = minus.steering - frame.steering
-    assert d_plus == pytest.approx(-d_minus, abs=1e-12)
-    assert d_plus == pytest.approx(-OFFSET_GAIN * 0.5, abs=1e-12)
+    p = params(offset=0.1, heading=0.01)
+    rgb = render_scene_rgb(p)
+    label = float(np.float32(ground_truth_steering(p.lane_offset, p.heading, p.curvature)))
+    d_plus = augment_one(rgb, label, 0.5)[1] - label
+    d_minus = augment_one(rgb, label, -0.5)[1] - label
+    assert d_plus == pytest.approx(-d_minus, abs=1e-8)
+    assert d_plus == pytest.approx(-OFFSET_GAIN * 0.5, abs=1e-8)
 
 
 def test_augment_rightward_shift_gives_leftward_correction():
-    frame = render_scene(params())
-    shifted = augment(frame, 0.6)
-    assert shifted.steering < frame.steering
+    rgb = render_scene_rgb(params())
+    _, shifted = augment_one(rgb, 0.0, 0.6)
+    assert shifted < 0.0
 
 
 def test_augment_label_matches_rerendered_ground_truth():
     """With the correction gain equal to the offset gain, the augmented label
-    is exactly the ground truth of the displaced camera position."""
+    is the ground truth of the displaced camera position."""
     p = params(offset=0.2, heading=0.015, curvature=-0.003)
-    frame = render_scene(p)
+    label = ground_truth_steering(p.lane_offset, p.heading, p.curvature)
     s = 0.35
-    assert augment(frame, s).steering == pytest.approx(
-        ground_truth_steering(0.2 + s, 0.015, -0.003), abs=1e-9)
-
-
-def test_augment_range_check():
-    frame = render_scene(params())
-    with pytest.raises(ValueError):
-        augment(frame, 1.5)
+    _, shifted = augment_one(render_scene_rgb(p), label, s)
+    assert shifted == pytest.approx(ground_truth_steering(0.2 + s, 0.015, -0.003), abs=1e-8)
 
 
 def test_corrected_label_recenters_kinematic_integrator():

@@ -88,7 +88,7 @@ def test_yuv_batch_matches_single_frame_converter():
     assert got.shape == (4, 3, 8, 9)
     assert got.dtype == np.float32
     for i in range(4):
-        np.testing.assert_allclose(got[i], scenes.rgb_to_yuv(batch[i]), atol=1e-3)
+        np.testing.assert_array_equal(got[i], scenes.rgb_to_yuv(batch[i]))
 
 
 def test_forward_batch_is_bit_identical_across_input_layouts():

@@ -3,9 +3,11 @@ detection, initialization bounds."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_conv_config, random_weights
-from visback.config import toy_config
+from conftest import corrupt, corruptions, random_conv_config, random_weights
+from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer, toy_config
 from visback.weights import (
     WeightChecksumError,
     WeightFileError,
@@ -145,5 +147,37 @@ def test_truncated_file_rejected_distinctly(tmp_path):
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "w.pnw"
     path.write_bytes(b"")
+    with pytest.raises(WeightFileError):
+        load_weights(path)
+
+
+def _small_net() -> NetworkConfig:
+    return NetworkConfig(3, 8, 8, (
+        LayerSpec(kind="normalization"),
+        conv_layer(2, kernel=3, stride=2, in_channels=3),
+        fc_layer(1, activation="none"),
+    ))
+
+
+def test_invalid_embedded_config_names_the_file(tmp_path):
+    # one bit turns the output layer's "units":1 into "units":3: the config
+    # still parses but fails validation
+    path = tmp_path / "w.pnw"
+    save_weights(init_weights(_small_net(), seed=0), path)
+    blob = path.read_bytes()
+    assert blob.count(b'"units":1') == 1
+    path.write_bytes(blob.replace(b'"units":1', b'"units":3'))
+    with pytest.raises(WeightFileError, match=r"w\.pnw: embedded config invalid: last layer"):
+        load_weights(path)
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_weight_reader_rejects_every_cut_and_bit_flip(tmp_path_factory, data):
+    # the trailing crc32 catches any single damage the structure checks miss
+    path = tmp_path_factory.mktemp("fuzz") / "w.pnw"
+    save_weights(init_weights(_small_net(), seed=1), path)
+    blob = path.read_bytes()
+    path.write_bytes(corrupt(blob, data.draw(corruptions(len(blob)))))
     with pytest.raises(WeightFileError):
         load_weights(path)
