@@ -212,6 +212,9 @@ def cmd_shift(args) -> int:
     summary["threshold"] = args.threshold
     summary["dilation_radius"] = radius
     atomic_write_text(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    if summary["degenerate_segmentation"]:
+        print(f"warning: degenerate segmentation, Class 1 covers {summary['class1_fraction']:.0%} of the frame",
+              file=sys.stderr)
     _write_manifest(
         out_dir / "manifest.json", "shift",
         weight_path=args.weights, out_dir=out_dir, outputs=["shifts.csv", "summary.json"],

@@ -60,6 +60,12 @@ class ClassSegmentation:
     def class1_bool(self) -> np.ndarray:
         return self.class1.data[0] > 0.5
 
+    @property
+    def class1_fraction(self) -> float:
+        """Share of the frame's pixels in Class 1, in [0, 1]."""
+        inside = self.class1_bool()
+        return np.count_nonzero(inside) / inside.size
+
 
 @dataclass(frozen=True)
 class LineFit:
@@ -79,6 +85,7 @@ class ShiftExperimentResult:
     fit_class1: LineFit
     fit_class2: LineFit
     fit_all: LineFit
+    class1_fraction: float  # share of the frame's pixels in Class 1
 
     def series(self, mode: str) -> tuple[float, ...]:
         return {"class1": self.steer_class1, "class2": self.steer_class2, "all": self.steer_all}[mode]
@@ -197,18 +204,33 @@ def run_shift_experiment(cfg: NetworkConfig, weights: WeightSet, image: Tensor,
                          seg: ClassSegmentation, shifts=DEFAULT_SHIFTS) -> ShiftExperimentResult:
     """Evaluate steering for every (shift, mode) pair and fit a line per mode.
 
-    Rows come out in ascending shift order; each perturbed frame gets its own
-    per-frame forward pass.
+    Rows come out in ascending shift order. The unperturbed frame runs through
+    the per-frame ``network.forward``, the call ``explain`` makes, so the dx=0
+    row of every series equals the explain prediction bit for bit. The shifted
+    frames of each mode are stacked and scored by one ``network.forward_batch``,
+    so those rows agree with per-frame forwards to float32 rounding. Raises
+    ``NonFiniteOutputError`` if any prediction is NaN or infinite.
     """
     shift_list = sorted(set(int(s) for s in shifts))
     if 0 not in shift_list:
         raise ValueError("the shift list must include 0 (the unperturbed frame)")
+    moved = [dx for dx in shift_list if dx != 0]
+    i0 = shift_list.index(0)
 
-    by_mode = {mode: [] for mode in MODES}
+    unshifted, _ = network.forward(cfg, weights, image)
+    by_mode = {}
     for mode in MODES:
-        for dx in shift_list:
-            out, _ = network.forward(cfg, weights, shift_class(image, seg, mode, dx))
-            by_mode[mode].append(out.inverse_turning_radius)
+        # one mode at a time keeps a single stack of shifted frames alive
+        stack = np.empty((len(moved),) + image.shape, dtype=np.float32)
+        for k, dx in enumerate(moved):
+            stack[k] = shift_class(image, seg, mode, dx).data
+        preds = network.forward_batch(cfg, weights, stack)
+        bad = np.flatnonzero(~np.isfinite(preds))
+        if bad.size:
+            raise network.NonFiniteOutputError(f"steering output is not finite for the {mode} shift dx={moved[bad[0]]}")
+        series = preds.tolist()
+        series.insert(i0, unshifted.inverse_turning_radius)
+        by_mode[mode] = series
 
     xs = np.asarray(shift_list, dtype=np.float64)
     fits = {mode: fit_line(xs, np.asarray(by_mode[mode])) for mode in MODES}
@@ -220,6 +242,7 @@ def run_shift_experiment(cfg: NetworkConfig, weights: WeightSet, image: Tensor,
         fit_class1=fits["class1"],
         fit_class2=fits["class2"],
         fit_all=fits["all"],
+        class1_fraction=seg.class1_fraction,
     )
 
 
@@ -237,8 +260,16 @@ def result_to_csv(result: ShiftExperimentResult) -> str:
 
 
 def result_summary(result: ShiftExperimentResult) -> dict:
-    """JSON-ready digest: the fitted line per series."""
+    """JSON-ready digest: the fitted line per series and the Class-1 area.
+
+    ``degenerate_segmentation`` is true when Class 1 is empty or covers the
+    whole frame (an all-zero mask, e.g. from a net whose ReLUs are all dead,
+    leaves it empty); then one shifted class is the frame or nothing, and its
+    slope says nothing about the mask.
+    """
     return {
+        "class1_fraction": result.class1_fraction,
+        "degenerate_segmentation": result.class1_fraction in (0.0, 1.0),
         "n_shifts": len(result.shifts),
         "shift_min": min(result.shifts),
         "shift_max": max(result.shifts),

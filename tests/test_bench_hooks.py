@@ -7,14 +7,18 @@ of the result; these tests fail instead.
 """
 
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
 import layers  # noqa: E402  (bench/layers.py; imports bench/tracer.py)
+from tracer import Hook, Tracer  # noqa: E402
 
 from visback import harness, network, saliency, scenes  # noqa: E402
 from visback.config import toy_config  # noqa: E402
@@ -38,7 +42,8 @@ def test_traced_toy_run_labels_conv_layers_and_counts_shift_forwards():
     weights = init_weights(cfg, seed=0)
     params = scenes.SceneParams(lane_offset=0.3, heading=0.02, curvature=0.004, style="lane_marked", seed=1)
     shifts = (-4, 0, 4)
-    tracer = layers.make_tracer()
+    # the bench's hooks plus one on the batched entry, to count it per experiment
+    tracer = Tracer(layers.HOOKS + (Hook("network.forward_batch", "network", "forward_batch"),))
     with tracer.active():
         image = Tensor(scenes.rgb_to_yuv(scenes.render_scene_rgb(params)))
         _, trace = network.forward(cfg, weights, image)
@@ -52,5 +57,28 @@ def test_traced_toy_run_labels_conv_layers_and_counts_shift_forwards():
         assert f"tensor.conv2d.toy.conv{i}" in summary  # geometry at args[2]
         assert f"network.conv_forward_batch.toy.conv{i}" in summary  # geometry at args[3]
     assert not [name for name in summary if name.endswith("conv_other")]
-    assert tracer.children_named("harness.run_shift_experiment", "network.forward") == len(harness.MODES) * len(shifts)
+    # the unshifted frame runs per frame, the shifted ones in one batch per mode
+    assert tracer.children_named("harness.run_shift_experiment", "network.forward") == 1
+    assert tracer.children_named("harness.run_shift_experiment", "network.forward_batch") <= len(harness.MODES)
+    experiment = tracer.name_ids["harness.run_shift_experiment"]
+    span = next(i for i, name_id in enumerate(tracer.name_of) if name_id == experiment)
+    assert tracer.bags[span]  # shift_class digests, behind unique_forward_ratio
     assert "harness.unique_forward_ratio" in layers.layer_metrics(tracer)
+
+
+def test_traced_bench_run_reports_every_per_layer_metric():
+    """A short traced explain_shift run completes with every per-layer name of
+    BENCHMARK.json, so a program change cannot leave the traced result short."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "explain_shift",
+         "--seed", "7", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    details = json.loads(lines[-2])["details"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(result["metrics"]) == {m["name"] for m in declared}
+    assert details["missing"] == []
+    assert result["correct"] is True

@@ -13,7 +13,7 @@ from visback import imageio
 from visback.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer, save_config
 from visback.training import FrameDataset, LABELS_FILE
-from visback.weights import load_weights
+from visback.weights import WeightSet, load_weights, save_weights, zero_weights
 
 
 def _tiny_config() -> NetworkConfig:
@@ -263,6 +263,8 @@ def test_shift_outputs(workbench, tmp_path, capsys):
         assert {"slope", "intercept", "r_squared"} <= set(summary["series"][mode])
     assert summary["threshold"] == 0.2
     assert summary["dilation_radius"] == 2  # 30 scaled to width 16
+    assert 0.0 <= summary["class1_fraction"] <= 1.0
+    assert summary["degenerate_segmentation"] == (summary["class1_fraction"] in (0.0, 1.0))
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "shift"
@@ -292,3 +294,40 @@ def test_shift_zero_only_range(workbench, tmp_path, capsys):
     assert len(lines) == 2
     _, c1, c2, al = lines[1].split(",")
     assert c1 == c2 == al  # unshifted frame, identical in every mode
+
+
+def test_shift_nonfinite_shifted_prediction_is_numeric_error(tmp_path, capsys):
+    """Only a shifted frame overflows: the unshifted one (and so the mask) is
+    finite, so the failure comes from the shifted rows."""
+    cfg = _tiny_config()  # conv 3x3 stride 2 -> 4 x 5 x 7 maps, then the steering unit
+    conv_w = np.zeros((4, 3, 3, 3), np.float32)
+    conv_w[0, 0] = 1.0  # channel 0 sums normalized Y: -9 on black, +9 on white
+    fc_w = np.zeros((4, 5, 7), np.float32)
+    fc_w[0, :, 2] = 3.0e38  # reads input columns 4-6, black until white moves in
+    weights = WeightSet(config=cfg, arrays={1: (conv_w.reshape(-1), np.zeros(4, np.float32)),
+                                            2: (fc_w.reshape(-1), np.zeros(1, np.float32))})
+    save_weights(weights, tmp_path / "overflow.pnw")
+    frame = np.zeros((12, 16, 3), np.uint8)
+    frame[:, 8:] = 255
+    imageio.write_ppm(tmp_path / "frame.ppm", frame)
+    rc = main(["explain", "--weights", str(tmp_path / "overflow.pnw"),
+               "--image", str(tmp_path / "frame.ppm"), "--out", str(tmp_path / "explain")])
+    assert rc == EXIT_OK
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["shift", "--weights", str(tmp_path / "overflow.pnw"),
+                   "--image", str(tmp_path / "frame.ppm"), "--out", str(tmp_path / "shift"),
+                   "--range=-4..4", "--step", "2"])
+    assert rc == EXIT_NUMERIC
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "shift" / "summary.json").exists()
+
+
+def test_shift_dead_net_warns_of_degenerate_segmentation(workbench, tmp_path, capsys):
+    zero = tmp_path / "zero.pnw"
+    save_weights(zero_weights(_tiny_config()), zero)
+    rc = main(["shift", "--weights", str(zero), "--image", str(workbench["frame0"]),
+               "--out", str(tmp_path / "shift"), "--range=-2..2", "--step", "2"])
+    assert rc == EXIT_OK
+    assert "degenerate segmentation" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "shift" / "summary.json").read_text())
+    assert summary["class1_fraction"] == 0.0 and summary["degenerate_segmentation"] is True

@@ -1,6 +1,8 @@
 """Shift-experiment machinery: thresholding, dilation, per-class translation,
 line fitting, and the experiment driver."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_conv_config, random_image, random_weights
 from oracles import dilate_loops, shift_full_loops
+from visback import network, scenes
 from visback.config import NetworkConfig, conv_layer, fc_layer
 from visback.harness import (
     CSV_HEADER,
@@ -24,9 +27,13 @@ from visback.harness import (
     shift_class,
     threshold_mask,
 )
-from visback.saliency import VisualizationMask
+from visback.network import NonFiniteOutputError
+from visback.saliency import VisualizationMask, compute_mask
 from visback.tensor import ShapeError, Tensor
-from visback.weights import zero_weights
+from visback.weights import WeightSet, load_weights, zero_weights
+
+TRAINED_WEIGHTS = Path(__file__).resolve().parents[1] / "bench" / "toy_weights.pnw"
+BATCH_REL_TOL = 1e-5  # batched vs per-frame steering, relative to the series' largest |steering|
 
 
 def vmask(arr2d):
@@ -297,9 +304,10 @@ def test_experiment_zero_weight_net_all_slopes_zero():
 
 def test_experiment_single_zero_shift_gives_identical_triple():
     cfg, ws, img, s = tiny_net()
-    res = run_shift_experiment(cfg, ws, img, s, shifts=[0])
+    res = run_shift_experiment(cfg, ws, img, s, shifts=[0])  # an empty batch per mode
     assert res.shifts == (0,)
     assert res.steer_class1 == res.steer_class2 == res.steer_all
+    assert res.steer_all[0] == network.forward(cfg, ws, img)[0].inverse_turning_radius
 
 
 def test_experiment_rows_sorted_and_deduplicated():
@@ -313,6 +321,72 @@ def test_experiment_zero_shift_row_equal_across_modes():
     res = run_shift_experiment(cfg, ws, img, s, shifts=[-2, 0, 2])
     i0 = res.shifts.index(0)
     assert res.steer_class1[i0] == res.steer_class2[i0] == res.steer_all[i0]
+
+
+def test_experiment_nonfinite_shifted_prediction_raises():
+    # the unshifted frame predicts 0; shifted left by one pixel, 100 * 3e38 overflows
+    cfg = NetworkConfig(1, 1, 2, (fc_layer(1, activation="none"),))
+    ws = WeightSet(config=cfg, arrays={0: (np.array([3.0e38, 0.0], np.float32), np.zeros(1, np.float32))})
+    img = Tensor(np.array([[[0.0, 100.0]]], dtype=np.float32))
+    assert network.forward(cfg, ws, img)[0].inverse_turning_radius == 0.0
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteOutputError, match="dx=-1"):
+        run_shift_experiment(cfg, ws, img, seg_from([[0.0, 1.0]]), shifts=[-1, 0, 1])
+
+
+@pytest.fixture(scope="module")
+def trained_frame():
+    """The committed trained toy weights, one rendered frame, its segmentation
+    and its per-frame prediction."""
+    ws = load_weights(TRAINED_WEIGHTS)
+    cfg = ws.config
+    params = scenes.SceneParams(lane_offset=0.3, heading=0.02, curvature=0.004, style="lane_marked", seed=1)
+    img = Tensor(scenes.rgb_to_yuv(scenes.render_scene_rgb(params, cfg.input_width, cfg.input_height)))
+    out, trace = network.forward(cfg, ws, img)
+    mask, _ = compute_mask(trace, cfg)
+    seg_ = segment(mask, radius=scaled_dilation_radius(cfg.input_width))
+    return cfg, ws, img, seg_, out.inverse_turning_radius
+
+
+def test_experiment_unshifted_row_is_the_per_frame_prediction(trained_frame):
+    cfg, ws, img, s, pred = trained_frame
+    res = run_shift_experiment(cfg, ws, img, s)
+    i0 = res.shifts.index(0)
+    for mode in MODES:
+        assert res.series(mode)[i0] == pred  # bit for bit, as explain computes it
+
+
+def test_experiment_shifted_rows_match_per_frame_forward(trained_frame):
+    cfg, ws, img, s, _ = trained_frame
+    res = run_shift_experiment(cfg, ws, img, s)
+    for mode in MODES:
+        got = np.asarray(res.series(mode))
+        want = np.array([network.forward(cfg, ws, shift_class(img, s, mode, dx))[0].inverse_turning_radius
+                         for dx in res.shifts])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=BATCH_REL_TOL * np.abs(want).max())
+
+
+def test_experiment_reruns_are_bit_identical(trained_frame):
+    cfg, ws, img, s, _ = trained_frame
+    assert run_shift_experiment(cfg, ws, img, s) == run_shift_experiment(cfg, ws, img, s)
+
+
+def test_zero_weight_net_flags_degenerate_segmentation(trained_frame):
+    # all ReLUs dead: an all-zero mask and an empty Class 1
+    cfg, _, img, _, _ = trained_frame
+    ws = zero_weights(cfg)
+    _, trace = network.forward(cfg, ws, img)
+    mask, _ = compute_mask(trace, cfg)
+    summary = result_summary(run_shift_experiment(cfg, ws, img, segment(mask)))
+    assert summary["class1_fraction"] == 0.0
+    assert summary["degenerate_segmentation"] is True
+
+
+def test_whole_frame_class1_is_degenerate():
+    cfg, ws, img, _ = tiny_net()
+    full = seg_from(np.ones((cfg.input_height, cfg.input_width), dtype=np.float32))
+    summary = result_summary(run_shift_experiment(cfg, ws, img, full, shifts=[-2, 0, 2]))
+    assert summary["class1_fraction"] == 1.0
+    assert summary["degenerate_segmentation"] is True
 
 
 def test_default_shift_range():
@@ -342,6 +416,8 @@ def test_summary_structure():
     cfg, ws, img, s = tiny_net()
     res = run_shift_experiment(cfg, ws, img, s, shifts=[-2, 0, 2])
     summary = result_summary(res)
+    assert summary["class1_fraction"] == 158 / 160  # 2 of the 10x16 pixels stay in Class 2
+    assert summary["degenerate_segmentation"] is False
     assert summary["n_shifts"] == 3
     assert summary["shift_min"] == -2 and summary["shift_max"] == 2
     for mode in MODES:
