@@ -88,6 +88,11 @@ def _read_input_image(path, cfg: NetworkConfig) -> tuple[np.ndarray, Tensor]:
 def cmd_gen(args) -> int:
     if args.scenes < 0:
         raise UsageError(f"--scenes must be >= 0, got {args.scenes}")
+    for flag, value in (("--width", args.width), ("--height", args.height)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
+    if not scenes.has_ground_rows(args.height):
+        raise UsageError(f"--height {args.height} leaves no ground rows below the horizon")
     dataset = training.generate_dataset(
         args.scenes, style=args.style, seed=args.seed, width=args.width, height=args.height
     )
@@ -135,6 +140,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    if not np.isfinite(args.gain):
+        raise UsageError(f"--gain must be finite, got {args.gain}")
     weights = load_weights(args.weights)
     cfg = weights.config
     rgb, image = _read_input_image(args.image, cfg)

@@ -1,36 +1,34 @@
 """Forward pass with activation tracing, and the training-grade backward pass.
 
-Two execution paths share the layer semantics:
+Two entry points share one set of layer kernels and expressions: the input
+check and scaling of ``normalize_input``, the NHWC im2col conv
+``tensor.conv2d_nhwc`` (bound here as ``_conv_forward_batch``), and the FC
+and ReLU arithmetic.
 
-* ``forward`` runs one image through the tensor-core kernels and records the
-  post-activation feature maps of every conv layer (plus the normalized
-  input); this trace is what the mask backprojection consumes.
-* A batched array path (``_run_batch`` / ``_loss_and_grads_batch``) powers
-  ``forward_batch``, ``backward`` and the SGD loop, trading object overhead
-  for GEMM throughput. It takes (N, C, H, W) batches like ``forward`` but
-  runs its conv activations in NHWC layout, (N, H, W, C) in C order: each
-  im2col row then gathers contiguous runs of Kw*C floats, a conv's GEMM
-  output (N*Ho*Wo, Co) already is the next layer's NHWC input, and its
-  gradient needs no transpose. Conv weights keep their (Co, Ci, Kh, Kw)
-  storage order and are permuted to (Co, Kh, Kw, Ci) per call, and their
-  gradients back. The last conv map is flattened in (C, H, W) order, so
-  FC weights read the same features on both paths.
+* ``forward`` runs one image and records the post-activation map of every
+  conv layer (plus the normalized input) as a (C, H, W) tensor; this trace
+  is what the mask backprojection consumes. Its convs are batches of one
+  through ``tensor.conv2d``.
+* The batched array path (``_run_batch`` / ``_loss_and_grads_batch``) powers
+  ``forward_batch``, ``backward`` and the SGD loop. It takes (N, C, H, W)
+  batches but keeps conv activations in NHWC, (N, H, W, C) in C order, so a
+  conv's GEMM output (N*Ho*Wo, Co) already is the next layer's input and its
+  gradient needs no transpose. Both paths flatten the last conv map in
+  (C, H, W) order, so FC weights read the same features.
 
-  The batched path is cache-blocked: ``forward_batch`` and
-  ``_loss_and_grads_batch`` run forward and backward over micro-batches of
-  ``MICRO_BATCH`` frames, so a chunk's im2col matrices and activations stay
-  near the L2 cache instead of streaming a whole batch's worth (tens of MB
-  for the 66x200 configs at batch 32) through L3 and DRAM. The loss and the
-  parameter gradients are summed over the chunks with the whole batch's
-  ``2/N`` scale. The input gradient of a strided conv is scattered by stride
-  phase: the kernel taps that land on one phase (row % stride_h,
-  col % stride_w) of the input grid add their GEMMs into contiguous slices of
-  a dense accumulator, and each phase is copied into the strided gradient
-  once.
+  The batched path is cache-blocked: it runs forward and backward over
+  micro-batches of ``MICRO_BATCH`` frames, so a chunk's im2col matrices and
+  activations stay near the L2 cache. The loss and the parameter gradients
+  are summed over the chunks with the whole batch's ``2/N`` scale. The input
+  gradient of a strided conv is scattered by stride phase: the kernel taps
+  that land on one phase (row % stride_h, col % stride_w) of the input grid
+  add their GEMMs into contiguous slices of a dense accumulator, and each
+  phase is copied into the strided gradient once.
 
-Both are deterministic functions of (config, weights, input). The batched
-path sums in another order than ``forward``, so its predictions agree with
-the per-frame ones to float32 rounding, not bit for bit.
+Both are deterministic functions of (config, weights, input). On the toy
+config a frame's conv maps are bit-equal from ``forward`` and from any batch;
+predictions differ in the last bits, through the FC head's GEMM shape (one
+row in ``forward``, a chunk's rows in a batch). See README "Determinism".
 """
 
 from __future__ import annotations
@@ -41,7 +39,8 @@ import numpy as np
 
 from . import tensor as tc
 from .config import ConfigError, NetworkConfig
-from .tensor import ConvGeometry, ShapeError, Tensor
+from .tensor import ConvGeometry, ShapeError, Tensor, nhwc_kernel
+from .tensor import conv2d_nhwc as _conv_forward_batch
 from .weights import WeightSet
 
 NORMALIZATION_SCALE = 127.5  # x / 127.5 - 1 maps [0, 255] onto [-1, 1]
@@ -86,16 +85,12 @@ class ActivationTrace:
         return self.entries[1:]
 
 
-def normalize_input(image: Tensor) -> Tensor:
+def normalize_input(x: np.ndarray) -> np.ndarray:
     """Hard-coded input normalization: x / 127.5 - 1. Never trained."""
-    lo, hi = float(image.data.min()), float(image.data.max())
+    lo, hi = float(x.min()), float(x.max())
     if lo < 0.0 or hi > 255.0:
         raise InputRangeError(f"image values must lie in [0, 255], got [{lo}, {hi}]")
-    return Tensor._wrap(image.data / np.float32(NORMALIZATION_SCALE) - np.float32(1.0))
-
-
-def _apply_activation(t: Tensor, activation: str) -> Tensor:
-    return tc.relu(t) if activation == "relu" else t
+    return x / np.float32(NORMALIZATION_SCALE) - np.float32(1.0)
 
 
 def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[SteeringOutput, ActivationTrace]:
@@ -107,50 +102,32 @@ def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[Stee
 
     entries: list[tuple[int, Tensor]] = []
     current: Tensor | np.ndarray = image
-    flattened = False
     for i, layer in enumerate(cfg.layers):
         if layer.kind == "normalization":
-            current = normalize_input(current)
+            current = Tensor._wrap(normalize_input(current.data))
             entries.append((i, current))
         elif layer.kind == "conv":
-            out = tc.conv2d(current, weights.weight(i), layer.geometry, weights.bias(i))
-            current = _apply_activation(out, layer.activation)
+            current = tc.conv2d(current, weights.weight(i), layer.geometry, weights.bias(i))
+            if layer.activation == "relu":
+                current = Tensor._wrap(np.maximum(current.data, np.float32(0.0)))
             entries.append((i, current))
         else:
-            if not flattened:
-                current = current.data.reshape(-1) if isinstance(current, Tensor) else current
-                flattened = True
+            if isinstance(current, Tensor):  # the FC weights read the last conv map in (C, H, W) order
+                current = current.data.reshape(-1)
             w2 = weights.weight(i).reshape(layer.units, -1)
-            out = tc.fully_connected(current, w2, weights.bias(i))
-            current = np.maximum(out, np.float32(0.0)) if layer.activation == "relu" else out
+            current = current @ w2.T + weights.bias(i)
+            if layer.activation == "relu":
+                current = np.maximum(current, np.float32(0.0))
 
     if not entries or cfg.layers[0].kind != "normalization":
         entries.insert(0, (-1, image))
-    pred = float(np.asarray(current).reshape(-1)[0])
+    pred = float(current[0])
     return SteeringOutput(pred), ActivationTrace(tuple(entries))
 
 
 # --- batched array path ----------------------------------------------------
 
 MICRO_BATCH = 4  # frames per forward/backward chunk; chosen by a sweep over {1, 2, 4, 8, 16}
-
-
-def _conv_forward_batch(x: np.ndarray, w4: np.ndarray, b: np.ndarray, g: ConvGeometry):
-    """Valid strided conv on NHWC (N, H, W, Ci) with (Co, Kh, Kw, Ci) weights.
-
-    Returns the NHWC output (N, Ho, Wo, Co) and the im2col matrix
-    (N*Ho*Wo, Kh*Kw*Ci). In NHWC one kernel row of a window, Kw*Ci floats,
-    is contiguous, so the gather copies Kh runs of that length per window.
-    """
-    x = np.ascontiguousarray(x)  # keeps the reshape below a view
-    n, h, w, ci = x.shape
-    oh, ow = g.output_hw(h, w)
-    win = np.lib.stride_tricks.sliding_window_view(
-        x.reshape(n, h, w * ci), (g.kernel_h, g.kernel_w * ci), axis=(1, 2)
-    )[:, :: g.stride_h, :: g.stride_w * ci]  # (N, Ho, Wo, Kh, Kw*Ci)
-    cols = np.ascontiguousarray(win).reshape(n * oh * ow, -1)
-    y = cols @ w4.reshape(g.out_channels, -1).T + b
-    return y.reshape(n, oh, ow, g.out_channels), cols
 
 
 def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, in_hw, out_hw) -> np.ndarray:
@@ -200,19 +177,14 @@ def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache
     """
     a = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float32)
     cache: list[tuple] = []
-    flattened = False
     for i, layer in enumerate(cfg.layers):
         if layer.kind == "normalization":
-            lo, hi = float(a.min()), float(a.max())
-            if lo < 0.0 or hi > 255.0:
-                raise InputRangeError(f"image values must lie in [0, 255], got [{lo}, {hi}]")
-            a = a / np.float32(NORMALIZATION_SCALE) - np.float32(1.0)
+            a = normalize_input(a)
             cache.append(("normalization",))
         elif layer.kind == "conv":
             g = layer.geometry
             in_hw = a.shape[1:3]
-            w4 = weights.weight(i).reshape(g.out_channels, g.in_channels, g.kernel_h, g.kernel_w)
-            w4 = np.ascontiguousarray(w4.transpose(0, 2, 3, 1))  # (Co, Kh, Kw, Ci)
+            w4 = nhwc_kernel(weights.weight(i), g)
             z, cols = _conv_forward_batch(a, w4, weights.bias(i), g)
             mask = None
             if layer.activation == "relu":
@@ -221,9 +193,8 @@ def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache
             cache.append(("conv", i, cols if want_cache else None, mask, in_hw, z.shape[1:3], w4))
             a = z
         else:
-            if not flattened:  # the FC weights read the last conv map in (C, H, W) order
+            if a.ndim == 4:  # the FC weights read the last conv map in (C, H, W) order
                 a = a.transpose(0, 3, 1, 2).reshape(a.shape[0], -1)
-                flattened = True
             w2 = weights.weight(i).reshape(layer.units, -1)
             z = a @ w2.T + weights.bias(i)
             mask = None

@@ -131,6 +131,11 @@ def _ground_geometry(width: int, height: int):
     return ground, z, u_centers, f
 
 
+def has_ground_rows(height: int) -> bool:
+    """Whether a frame of this height has any rows below the horizon to draw as ground."""
+    return bool(_ground_geometry(1, height)[0].any())
+
+
 def _lane_center(z: np.ndarray, p: SceneParams) -> np.ndarray:
     return -p.lane_offset - p.heading * z + 0.5 * p.curvature * z * z
 

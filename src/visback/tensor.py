@@ -1,8 +1,9 @@
 """Dense rank-3 tensors (channels x height x width) and the numeric kernels
 the forward pass and the mask backprojection need.
 
-Everything is float32, channel-major, row-major. Operations are pure: they
-never mutate their inputs and return freshly allocated tensors.
+Tensors are float32, channel-major, row-major. ``conv2d_nhwc`` is the one
+convolution kernel, on (N, H, W, C) batches; ``conv2d`` runs one tensor
+through it. Operations are pure: they never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -105,8 +106,32 @@ class ConvGeometry:
         return self.out_channels * self.in_channels * self.kernel_h * self.kernel_w
 
 
+def conv2d_nhwc(x: np.ndarray, w4: np.ndarray, b: np.ndarray, g: ConvGeometry):
+    """Valid strided conv on NHWC (N, H, W, Ci) with (Co, Kh, Kw, Ci) weights.
+
+    Returns the NHWC output (N, Ho, Wo, Co) and the im2col matrix
+    (N*Ho*Wo, Kh*Kw*Ci). In NHWC one kernel row of a window, Kw*Ci floats,
+    is contiguous, so the gather copies Kh runs of that length per window.
+    """
+    x = np.ascontiguousarray(x)  # keeps the reshape below a view
+    n, h, w, ci = x.shape
+    oh, ow = g.output_hw(h, w)
+    win = np.lib.stride_tricks.sliding_window_view(
+        x.reshape(n, h, w * ci), (g.kernel_h, g.kernel_w * ci), axis=(1, 2)
+    )[:, :: g.stride_h, :: g.stride_w * ci]  # (N, Ho, Wo, Kh, Kw*Ci)
+    cols = np.ascontiguousarray(win).reshape(n * oh * ow, -1)
+    y = cols @ w4.reshape(g.out_channels, -1).T + b
+    return y.reshape(n, oh, ow, g.out_channels), cols
+
+
+def nhwc_kernel(weights: np.ndarray, g: ConvGeometry) -> np.ndarray:
+    """Flat (Co, Ci, Kh, Kw) conv weights permuted to the (Co, Kh, Kw, Ci) order ``conv2d_nhwc`` takes."""
+    w4 = np.asarray(weights, dtype=np.float32).reshape(g.out_channels, g.in_channels, g.kernel_h, g.kernel_w)
+    return np.ascontiguousarray(w4.transpose(0, 2, 3, 1))
+
+
 def conv2d(inp: Tensor, weights: np.ndarray, geometry: ConvGeometry, bias: np.ndarray) -> Tensor:
-    """Valid-padding strided convolution.
+    """Valid strided convolution of one tensor: a batch of one through ``conv2d_nhwc``.
 
     ``weights`` is flat, laid out (out_channels, in_channels, kernel_h,
     kernel_w) in C order; ``bias`` holds one float per output channel.
@@ -115,34 +140,14 @@ def conv2d(inp: Tensor, weights: np.ndarray, geometry: ConvGeometry, bias: np.nd
         raise ShapeError(
             f"channel axis mismatch: input has {inp.channels} channels, geometry expects {geometry.in_channels}"
         )
-    w = np.asarray(weights, dtype=np.float32)
-    if w.size != geometry.weight_count():
-        raise ShapeError(f"weight length {w.size} != expected {geometry.weight_count()}")
+    if np.size(weights) != geometry.weight_count():
+        raise ShapeError(f"weight length {np.size(weights)} != expected {geometry.weight_count()}")
     b = np.asarray(bias, dtype=np.float32)
     if b.size != geometry.out_channels:
         raise ShapeError(f"bias length {b.size} != out_channels {geometry.out_channels}")
-    w4 = w.reshape(geometry.out_channels, geometry.in_channels, geometry.kernel_h, geometry.kernel_w)
-    out_h, out_w = geometry.output_hw(inp.height, inp.width)
-
-    win = np.lib.stride_tricks.sliding_window_view(inp.data, (geometry.kernel_h, geometry.kernel_w), axis=(1, 2))
-    win = win[:, :: geometry.stride_h, :: geometry.stride_w]  # (Ci, Ho, Wo, Kh, Kw)
-    cols = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(out_h * out_w, -1)
-    y = cols @ w4.reshape(geometry.out_channels, -1).T + b
-    return Tensor._wrap(np.ascontiguousarray(y.reshape(out_h, out_w, geometry.out_channels).transpose(2, 0, 1)))
-
-
-def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map y = W x + b for a flat input vector and a (units, len(x)) matrix."""
-    xv = np.asarray(x, dtype=np.float32).reshape(-1)
-    w = np.asarray(weights, dtype=np.float32)
-    if w.ndim != 2:
-        raise ShapeError(f"weight matrix must be rank 2, got rank {w.ndim}")
-    b = np.asarray(bias, dtype=np.float32).reshape(-1)
-    if w.shape[1] != xv.size:
-        raise ShapeError(f"input length {xv.size} != weight row length {w.shape[1]}")
-    if w.shape[0] != b.size:
-        raise ShapeError(f"bias length {b.size} != unit count {w.shape[0]}")
-    return (w @ xv + b).astype(np.float32)
+    # geometry stays the 4th positional argument: bench/layers.py labels conv spans by args[3]
+    y, _ = conv2d_nhwc(inp.data.transpose(1, 2, 0)[np.newaxis], nhwc_kernel(weights, geometry), b, geometry)
+    return Tensor._wrap(np.ascontiguousarray(y[0].transpose(2, 0, 1)))
 
 
 def channel_mean(t: Tensor) -> Tensor:
@@ -199,7 +204,3 @@ def normalize_01(t: Tensor) -> Tensor:
         return Tensor.zeros(*t.shape)
     return Tensor._wrap((t.data - np.float32(lo)) / (np.float32(hi) - np.float32(lo)))
 
-
-def relu(t: Tensor) -> Tensor:
-    """Pointwise max(0, x)."""
-    return Tensor._wrap(np.maximum(t.data, np.float32(0.0)))

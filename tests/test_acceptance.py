@@ -29,7 +29,7 @@ from visback.harness import (
 )
 from visback.network import ActivationTrace, backward, forward
 from visback.saliency import compute_mask
-from visback.tensor import Tensor, conv2d, fully_connected, relu
+from visback.tensor import Tensor, conv2d
 from visback.training import FrameDataset, TrainConfig, generate_dataset, sample_scene_params, train
 from visback import scenes
 from visback.weights import (
@@ -150,13 +150,13 @@ def _relu_margin(cfg, ws, img):
         if spec.kind == "normalization":
             x = Tensor(x.data / np.float32(127.5) - np.float32(1.0))
         elif spec.kind == "conv":
-            pre = conv2d(x, ws.weight(i), spec.geometry, ws.bias(i))
-            margins.append(float(np.abs(pre.data).min()))
-            peak = max(peak, float(np.abs(pre.data).max()))
-            x = relu(pre)
+            pre = conv2d(x, ws.weight(i), spec.geometry, ws.bias(i)).data
+            margins.append(float(np.abs(pre).min()))
+            peak = max(peak, float(np.abs(pre).max()))
+            x = Tensor(np.maximum(pre, 0.0))
         else:
             v = x.data.reshape(-1) if vec is None else vec
-            pre = fully_connected(v, ws.weight(i).reshape(spec.units, v.size), ws.bias(i))
+            pre = ws.weight(i).reshape(spec.units, v.size) @ v + ws.bias(i)
             peak = max(peak, float(np.abs(pre).max()))
             if spec.activation == "relu":
                 margins.append(float(np.abs(pre).min()))

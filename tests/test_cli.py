@@ -121,6 +121,26 @@ def test_gen_unknown_style_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+
+@pytest.mark.parametrize("flag, value", [("--width", "0"), ("--width", "-3"), ("--height", "0"), ("--height", "-2")])
+def test_gen_nonpositive_frame_size_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "d"
+    assert main(["gen", "--scenes", "2", flag, value, "--out", str(out)]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_height_without_ground_rows_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "d"
+    for scenes in ("1", "0"):
+        assert main(["gen", "--scenes", scenes, "--height", "1", "--out", str(out)]) == EXIT_USAGE
+        assert "--height" in capsys.readouterr().err
+        assert not out.exists()
+    # the smallest height with a ground row renders
+    assert main(["gen", "--scenes", "1", "--width", "1", "--height", "2", "--out", str(out)]) == EXIT_OK
+    assert FrameDataset.load(out).images_rgb.shape == (1, 2, 1, 3)
+
+
 # ---------------------------------------------------------------------- train
 
 
@@ -220,6 +240,17 @@ def test_explain_wrong_image_size_is_data_error(workbench, tmp_path, capsys):
                "--image", str(big), "--out", str(tmp_path / "o")])
     assert rc == EXIT_DATA
     capsys.readouterr()
+
+
+
+@pytest.mark.parametrize("gain", ["nan", "inf", "-inf"])
+def test_explain_nonfinite_gain_is_usage_error(workbench, tmp_path, capsys, gain):
+    out = tmp_path / "ex"
+    rc = main(["explain", "--weights", str(workbench["weights_path"]), "--image", str(workbench["frame0"]),
+               "--out", str(out), f"--gain={gain}"])
+    assert rc == EXIT_USAGE
+    assert "--gain" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_explain_corrupt_weights_is_data_error(workbench, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Forward pass, activation trace, and loss gradients."""
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from visback.network import (
     normalize_input,
 )
 from visback.tensor import ConvGeometry, ShapeError, Tensor
-from visback.weights import WeightSet, init_weights, parameter_shapes, zero_weights
+from visback.weights import WeightSet, init_weights, load_weights, parameter_shapes, zero_weights
 
 
 def ws_from_arrays(cfg, pairs):
@@ -45,16 +46,15 @@ def ws_from_arrays(cfg, pairs):
 # --- normalization ----------------------------------------------------------
 
 def test_normalize_input_endpoints():
-    t = Tensor(np.array([[[0.0, 127.5, 255.0]]], dtype=np.float32))
-    out = normalize_input(t)
-    np.testing.assert_allclose(out.data, [[[-1.0, 0.0, 1.0]]], atol=1e-7)
+    out = normalize_input(np.array([[[0.0, 127.5, 255.0]]], dtype=np.float32))
+    np.testing.assert_allclose(out, [[[-1.0, 0.0, 1.0]]], atol=1e-7)
 
 
 def test_normalize_input_range_check():
     with pytest.raises(InputRangeError):
-        normalize_input(Tensor(np.array([[[-0.5]]], dtype=np.float32)))
+        normalize_input(np.array([[[-0.5]]], dtype=np.float32))
     with pytest.raises(InputRangeError):
-        normalize_input(Tensor(np.array([[[255.5]]], dtype=np.float32)))
+        normalize_input(np.array([[[255.5]]], dtype=np.float32))
 
 
 # --- forward ----------------------------------------------------------------
@@ -401,6 +401,45 @@ def test_micro_batch_edges_match_per_frame_results(n, monkeypatch):
                               (grads[i][1], np.mean([g.bias(i) for g, _ in singles], axis=0))):
                 scale = max(float(np.abs(want).max()), 1e-6)
                 np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5 * scale)
+
+
+
+TOY_WEIGHTS = Path(__file__).resolve().parents[1] / "bench" / "toy_weights.pnw"
+
+
+@pytest.mark.parametrize("whole_stack", [False, True], ids=["chunked", "whole_stack"])
+@pytest.mark.parametrize("n", [1, 2, 3, MICRO_BATCH, 2 * MICRO_BATCH + 1])
+def test_forward_conv_maps_equal_batched_kernel_rows(n, whole_stack, monkeypatch):
+    """Determinism contract, conv half: on the toy net each frame's conv maps
+    in ``forward``'s trace equal its post-ReLU rows of the batched kernel bit
+    for bit, whether ``forward_batch`` cuts the N frames into MICRO_BATCH
+    chunks or runs them as one stack."""
+    cfg = toy_config()
+    ws = load_weights(TOY_WEIGHTS)
+    x = np.random.default_rng(n).uniform(0.0, 255.0, (n,) + cfg.input_shape).astype(np.float32)
+    outputs = []
+    kernel = network._conv_forward_batch
+
+    def recording(*args):
+        z, cols = kernel(*args)
+        outputs.append(z)
+        return z, cols
+
+    monkeypatch.setattr(network, "_conv_forward_batch", recording)
+    if whole_stack:
+        monkeypatch.setattr(network, "MICRO_BATCH", n)
+    forward_batch(cfg, ws, x)
+    monkeypatch.undo()
+
+    convs = cfg.conv_indices()
+    assert len(outputs) % len(convs) == 0
+    batched = [np.concatenate(outputs[j :: len(convs)]) for j in range(len(convs))]  # per layer, all frames
+    for k in range(n):
+        _, trace = forward(cfg, ws, Tensor(x[k]))
+        assert [i for i, _ in trace.conv_entries] == list(convs)
+        for (i, t), z in zip(trace.conv_entries, batched):
+            assert cfg.layers[i].activation == "relu"
+            np.testing.assert_array_equal(t.data, np.maximum(z[k], 0.0).transpose(2, 0, 1))
 
 
 def _input_grad_loops(dy: np.ndarray, w4: np.ndarray, sh: int, sw: int, in_hw) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Numeric kernels: convolution, fully connected, deconvolution upscaling,
-channel averaging, normalization. Frozen hand examples plus loop-oracle and
+"""Numeric kernels: convolution, deconvolution upscaling, channel averaging,
+normalization. Frozen hand examples plus loop-oracle and
 property checks."""
 
 import numpy as np
@@ -16,9 +16,7 @@ from visback.tensor import (
     conv2d,
     deconv_upscale,
     elementwise_mul,
-    fully_connected,
     normalize_01,
-    relu,
 )
 
 
@@ -123,25 +121,6 @@ def test_conv_matches_loop_oracle(data):
     want = conv2d_loops(x.astype(np.float64), wts.reshape(cout, cin, k, k).astype(np.float64),
                         b.astype(np.float64), s, s)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
-
-
-# --- fully connected -------------------------------------------------------
-
-def test_fully_connected_matches_matmul():
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal((4, 7)).astype(np.float32)
-    x = rng.standard_normal(7).astype(np.float32)
-    b = rng.standard_normal(4).astype(np.float32)
-    np.testing.assert_allclose(fully_connected(x, w, b), w @ x + b, rtol=1e-6)
-
-
-def test_fully_connected_shape_errors():
-    with pytest.raises(ShapeError):
-        fully_connected(np.ones(3), np.ones((2, 4)), np.zeros(2))
-    with pytest.raises(ShapeError):
-        fully_connected(np.ones(4), np.ones((2, 4)), np.zeros(3))
-    with pytest.raises(ShapeError):
-        fully_connected(np.ones(4), np.ones(8), np.zeros(2))
 
 
 # --- channel mean ----------------------------------------------------------
@@ -282,11 +261,6 @@ def test_normalize_01_affine_invariance(seed, scale, offset):
     base = normalize_01(Tensor(a)).data
     moved = normalize_01(Tensor(a * scale + offset)).data
     np.testing.assert_allclose(moved, base, atol=1e-4)
-
-
-def test_relu_clamps_negative():
-    t = Tensor(np.array([[[-1.0, 0.0, 2.5]]], dtype=np.float32))
-    np.testing.assert_array_equal(relu(t).data, [[[0.0, 0.0, 2.5]]])
 
 
 def test_elementwise_mul_and_shape_error():
