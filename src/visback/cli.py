@@ -26,7 +26,7 @@ from .config import BUILTIN_CONFIGS, ConfigError, NetworkConfig, load_config
 from .fileutil import atomic_write_text
 from .network import InputRangeError, NonFiniteOutputError, forward
 from .saliency import TraceMismatchError
-from .tensor import ShapeError, Tensor, normalize_01
+from .tensor import ShapeError, Tensor
 from .training import DatasetError, DivergenceError, FrameDataset, TrainConfig
 from .weights import WeightFileError, load_weights, save_weights
 
@@ -155,17 +155,14 @@ def cmd_explain(args) -> int:
     imageio.write_pgm(out_dir / "mask.pgm", saliency.mask_to_gray(mask))
     imageio.write_mask_dump(out_dir / "mask.msk", mask)
 
-    rgb_tensor = Tensor(rgb.transpose(2, 0, 1).astype(np.float32))
-    blended = saliency.overlay(rgb_tensor, mask, gain=args.gain)
-    overlay_rgb = np.clip(np.rint(blended.data.transpose(1, 2, 0)), 0, 255).astype(np.uint8)
-    imageio.write_ppm(out_dir / "overlay.ppm", overlay_rgb)
+    imageio.write_ppm(out_dir / "overlay.ppm", saliency.overlay(rgb, mask, gain=args.gain))
 
     outputs = ["mask.pgm", "mask.msk", "overlay.ppm"]
     if args.mask_trace:
         for level, inter in enumerate(mask_trace.masks):
             name = f"mask_level_{level}.pgm"
-            gray = np.clip(np.rint(normalize_01(inter).data[0] * 255.0), 0, 255).astype(np.uint8)
-            imageio.write_pgm(out_dir / name, gray)
+            level_mask = saliency.VisualizationMask(saliency.normalize_01(inter))
+            imageio.write_pgm(out_dir / name, saliency.mask_to_gray(level_mask))
             outputs.append(name)
 
     _write_manifest(
@@ -188,10 +185,6 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_shift(args) -> int:
-    weights = load_weights(args.weights)
-    cfg = weights.config
-    _, image = _read_input_image(args.image, cfg)
-
     if not 0.0 <= args.threshold <= 1.0:
         raise UsageError(f"--threshold must be in [0, 1], got {args.threshold}")
     if args.dilate is not None and args.dilate < 0:
@@ -202,6 +195,10 @@ def cmd_shift(args) -> int:
     shifts = list(range(lo, hi + 1, args.step))
     if 0 not in shifts:
         raise UsageError(f"shift range {lo}..{hi} step {args.step} does not sample 0")
+
+    weights = load_weights(args.weights)
+    cfg = weights.config
+    _, image = _read_input_image(args.image, cfg)
     if max(abs(lo), abs(hi)) >= cfg.input_width:
         raise UsageError(f"shifts must stay below the image width {cfg.input_width}")
 

@@ -184,8 +184,11 @@ def toy_config() -> NetworkConfig:
 
     The shallow head is deliberate. With the uniform +-1/sqrt(fan_in)
     initialization each ReLU layer shrinks activation magnitudes by roughly
-    sqrt(6), so a stack as deep as the full network starts ~500x attenuated
-    and plain fixed-rate SGD cannot recover within a desk-scale epoch budget;
+    sqrt(6), and sqrt(6)^9 is about 3200: in ``default`` at
+    ``init_weights(seed=1)``, on 16 frames drawn with ``default_rng(99)``,
+    the RMS falls from 0.176 at the normalized input to 5.3e-5 at the output
+    layer's input (about 3300x), and the prediction RMS is 2.7e-5. Plain
+    fixed-rate SGD cannot recover from that within a desk-scale epoch budget;
     three conv layers keep the features large enough to train while
     preserving the strided-convolution geometry the mask backprojection runs
     on.

@@ -7,6 +7,9 @@ a range of pixel offsets, the network is re-run on every perturbed frame, and
 an ordinary least-squares line is fitted per series. If the mask really marks
 what steers the car, the Class 1 slope should carry most of the full-frame
 slope and Class 2 should be comparatively flat.
+
+The class maps are read-only (H, W) bool arrays; the frames that get shifted
+and scored stay (C, H, W) ``Tensor``s, the network's input type.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ def scaled_dilation_radius(width: int, base_radius: int = DEFAULT_DILATION_RADIU
 class ClassSegmentation:
     """Class 1 = salient pixels (thresholded mask, dilated); Class 2 = the rest."""
 
-    class1: Tensor  # (1, H, W), values exactly 0.0 or 1.0
+    class1: np.ndarray  # read-only (H, W) bool
     threshold: float
     dilation_radius: int
 
@@ -46,25 +49,20 @@ class ClassSegmentation:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.dilation_radius < 0:
             raise ValueError(f"dilation radius must be >= 0, got {self.dilation_radius}")
-        if self.class1.channels != 1:
-            raise ShapeError("class mask must be single-channel")
-        vals = self.class1.data
-        if not np.all((vals == 0.0) | (vals == 1.0)):
-            raise ValueError("class mask must be binary (0/1)")
+        _check_bool_map(self.class1, "class mask")
+        class1 = self.class1.copy()
+        class1.flags.writeable = False
+        object.__setattr__(self, "class1", class1)
 
     @property
-    def class2(self) -> Tensor:
+    def class2(self) -> np.ndarray:
         """The complement mask: every pixel not in Class 1."""
-        return Tensor._wrap(np.float32(1.0) - self.class1.data)
-
-    def class1_bool(self) -> np.ndarray:
-        return self.class1.data[0] > 0.5
+        return ~self.class1
 
     @property
     def class1_fraction(self) -> float:
         """Share of the frame's pixels in Class 1, in [0, 1]."""
-        inside = self.class1_bool()
-        return np.count_nonzero(inside) / inside.size
+        return np.count_nonzero(self.class1) / self.class1.size
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,18 @@ class ShiftExperimentResult:
         return {"class1": self.fit_class1, "class2": self.fit_class2, "all": self.fit_all}[mode]
 
 
-def threshold_mask(mask: VisualizationMask, t: float) -> Tensor:
-    """Binary map: 1 where the mask value is strictly above t."""
+def _check_bool_map(m: np.ndarray, what: str) -> None:
+    if m.ndim != 2:
+        raise ShapeError(f"{what} must be an (H, W) array, got shape {m.shape}")
+    if m.dtype != np.bool_:
+        raise ValueError(f"{what} must be a bool array, got {m.dtype}")
+
+
+def threshold_mask(mask: VisualizationMask, t: float) -> np.ndarray:
+    """(H, W) bool map: True where the mask value is strictly above t."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {t}")
-    return Tensor._wrap((mask.data > np.float32(t)).astype(np.float32)[np.newaxis])
+    return mask.data > np.float32(t)
 
 
 def _dilate_axis(m: np.ndarray, radius: int, axis: int) -> np.ndarray:
@@ -109,25 +114,18 @@ def _dilate_axis(m: np.ndarray, radius: int, axis: int) -> np.ndarray:
     return win.any(axis=-1)
 
 
-def dilate(binary: Tensor, radius: int) -> Tensor:
+def dilate(binary: np.ndarray, radius: int) -> np.ndarray:
     """Square (Chebyshev-ball) binary dilation with a (2r+1)x(2r+1) window.
 
-    Separable: a horizontal 1-D dilation followed by a vertical one is exactly
-    the square-window dilation.
+    Takes and returns an (H, W) bool map. Separable: a horizontal 1-D
+    dilation followed by a vertical one is exactly the square-window dilation.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    if binary.channels != 1:
-        raise ShapeError("dilate expects a single-channel mask")
-    vals = binary.data
-    if not np.all((vals == 0.0) | (vals == 1.0)):
-        raise ValueError("dilate expects a binary (0/1) mask")
+    _check_bool_map(binary, "dilate's input")
     if radius == 0:
         return binary
-    m = vals[0] > 0.5
-    m = _dilate_axis(m, radius, axis=1)
-    m = _dilate_axis(m, radius, axis=0)
-    return Tensor._wrap(m.astype(np.float32)[np.newaxis])
+    return _dilate_axis(_dilate_axis(binary, radius, axis=1), radius, axis=0)
 
 
 def segment(mask: VisualizationMask, t: float = DEFAULT_THRESHOLD,
@@ -146,8 +144,8 @@ def shift_class(image: Tensor, seg: ClassSegmentation, which: str, dx: int) -> T
     if which not in MODES:
         raise ValueError(f"which must be one of {MODES}, got {which!r}")
     h, w = image.height, image.width
-    if seg.class1.height != h or seg.class1.width != w:
-        raise ShapeError(f"segmentation size {(seg.class1.height, seg.class1.width)} != image size {(h, w)}")
+    if seg.class1.shape != (h, w):
+        raise ShapeError(f"segmentation size {seg.class1.shape} != image size {(h, w)}")
     if abs(dx) >= w:
         raise ValueError(f"|dx| must be smaller than the image width {w}, got {dx}")
 
@@ -165,7 +163,7 @@ def shift_class(image: Tensor, seg: ClassSegmentation, which: str, dx: int) -> T
             out[:, :, w + dx :] = img[:, :, -1:]
         return Tensor._wrap(out)
 
-    region = seg.class1_bool() if which == "class1" else ~seg.class1_bool()
+    region = seg.class1 if which == "class1" else seg.class2
     if dx > 0:
         dest, src = slice(dx, w), slice(0, w - dx)
     else:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .fileutil import atomic_write_bytes
 from .saliency import VisualizationMask
-from .tensor import Tensor
 
 _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 
@@ -142,6 +141,6 @@ def read_mask_dump(path) -> VisualizationMask:
         raise MaskFileError(f"{path}: payload is {len(payload)} bytes, expected {need}")
     data = np.frombuffer(payload, dtype="<f4", count=height * width).reshape(height, width)
     try:
-        return VisualizationMask(Tensor(data.astype(np.float32)[np.newaxis]))
+        return VisualizationMask(data)
     except ValueError as exc:
         raise MaskFileError(f"{path}: {exc}") from None

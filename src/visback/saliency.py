@@ -8,6 +8,9 @@ pointwise with the averaged map at that level. A final upscale through the
 first conv layer's geometry lands on input resolution; min-max normalization
 makes it a displayable [0, 1] mask. The input image itself never enters the
 product.
+
+The trace's conv maps arrive as (C, h, w) ``Tensor``s; from the channel mean
+on, every level, the mask and the overlay are plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as tc
 from .config import NetworkConfig, validate_config
 from .network import ActivationTrace
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, deconv_upscale
 
 
 class TraceMismatchError(ValueError):
@@ -28,49 +30,54 @@ class TraceMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class VisualizationMask:
-    """Single-channel [0, 1] mask at input resolution."""
+    """[0, 1] mask at input resolution, held as a read-only (H, W) float32 array."""
 
-    values: Tensor  # (1, H, W)
+    data: np.ndarray
 
     def __post_init__(self):
-        if self.values.channels != 1:
-            raise ShapeError(f"mask must be single-channel, got {self.values.channels}")
-        lo = float(self.values.data.min())
-        hi = float(self.values.data.max())
-        if lo < 0.0 or hi > 1.0:
-            raise ValueError(f"mask values must lie in [0, 1], got [{lo}, {hi}]")
-
-    @property
-    def data(self) -> np.ndarray:
-        """The mask as a read-only (H, W) float32 array."""
-        return self.values.data[0]
+        arr = np.array(self.data, dtype=np.float32, copy=True, order="C")
+        if arr.ndim != 2 or arr.size == 0:
+            raise ShapeError(f"mask must be a non-empty (H, W) array, got shape {arr.shape}")
+        lo, hi = arr.min(), arr.max()
+        if not (lo >= 0.0 and hi <= 1.0):  # a NaN fails both comparisons
+            raise ValueError(f"mask values must be finite and lie in [0, 1], got [{lo}, {hi}]")
+        arr.flags.writeable = False
+        object.__setattr__(self, "data", arr)
 
     @property
     def height(self) -> int:
-        return self.values.height
+        return self.data.shape[0]
 
     @property
     def width(self) -> int:
-        return self.values.width
+        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
 class MaskTrace:
-    """Intermediate mask per conv level, bottom (first conv) to top (deepest).
+    """Intermediate (h, w) mask per conv level, bottom (first conv) to top (deepest).
 
     The top entry is that level's averaged map itself; each lower entry is
     upscale(level above) * averaged(level), so sizes telescope down the stack
     exactly along the feature-map sizes.
     """
 
-    masks: tuple[Tensor, ...]
+    masks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         if not self.masks:
             raise ValueError("mask trace cannot be empty")
         for m in self.masks:
-            if m.channels != 1:
-                raise ShapeError("intermediate masks must be single-channel")
+            if m.ndim != 2:
+                raise ShapeError(f"intermediate masks must be (h, w) arrays, got shape {m.shape}")
+
+
+def normalize_01(a: np.ndarray) -> np.ndarray:
+    """Rescale to [0, 1] by (x - min) / (max - min); a constant array maps to all zeros."""
+    lo, hi = a.min(), a.max()
+    if hi == lo:
+        return np.zeros_like(a)
+    return (a - lo) / (hi - lo)
 
 
 def compute_mask(trace: ActivationTrace, cfg: NetworkConfig) -> tuple[VisualizationMask, MaskTrace]:
@@ -98,36 +105,33 @@ def compute_mask(trace: ActivationTrace, cfg: NetworkConfig) -> tuple[Visualizat
                 f"conv layer {i} activation shape {t.shape} != expected {shapes[i].output_shape}"
             )
 
-    averaged = [tc.channel_mean(t) for _, t in entries]
+    # float64 accumulation so the result is independent of channel count quirks
+    averaged = [t.data.mean(axis=0, dtype=np.float64).astype(np.float32) for _, t in entries]
 
-    combined: list[Tensor] = [None] * (len(averaged) - 1) + [averaged[-1]]  # type: ignore[list-item]
+    combined = averaged[:]
     for j in range(len(averaged) - 2, -1, -1):
         geom = cfg.layers[conv_indices[j + 1]].geometry
-        below = averaged[j]
-        upscaled = tc.deconv_upscale(combined[j + 1], geom, below.height, below.width)
-        combined[j] = tc.elementwise_mul(upscaled, below)
+        combined[j] = deconv_upscale(combined[j + 1], geom, *averaged[j].shape) * averaged[j]
 
     first_geom = cfg.layers[conv_indices[0]].geometry
-    projection = tc.deconv_upscale(combined[0], first_geom, cfg.input_height, cfg.input_width)
-    mask = VisualizationMask(tc.normalize_01(projection))
-    return mask, MaskTrace(tuple(combined))
+    projection = deconv_upscale(combined[0], first_geom, cfg.input_height, cfg.input_width)
+    return VisualizationMask(normalize_01(projection)), MaskTrace(tuple(combined))
 
 
-def overlay(image_rgb: Tensor, mask: VisualizationMask, gain: float = 255.0) -> Tensor:
+def overlay(rgb: np.ndarray, mask: VisualizationMask, gain: float = 255.0) -> np.ndarray:
     """Highlight masked pixels by adding gain * mask to the green plane.
 
-    The image is an RGB (3, H, W) tensor in [0, 255]; red and blue pass
-    through untouched and the boosted green plane is clamped to [0, 255].
+    Takes and returns an (H, W, 3) uint8 frame; red and blue pass through
+    untouched and the boosted green plane is rounded and clamped to [0, 255].
     """
-    if image_rgb.channels != 3:
-        raise ShapeError(f"overlay expects an RGB (3, H, W) tensor, got {image_rgb.channels} channels")
-    if (image_rgb.height, image_rgb.width) != (mask.height, mask.width):
-        raise ShapeError(
-            f"image size {(image_rgb.height, image_rgb.width)} != mask size {(mask.height, mask.width)}"
-        )
-    out = image_rgb.data.copy()
-    out[1] = np.clip(out[1] + np.float32(gain) * mask.data, 0.0, 255.0)
-    return Tensor._wrap(out)
+    if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
+        raise ShapeError(f"overlay expects an (H, W, 3) uint8 frame, got {rgb.shape} {rgb.dtype}")
+    if rgb.shape[:2] != mask.data.shape:
+        raise ShapeError(f"image size {rgb.shape[:2]} != mask size {mask.data.shape}")
+    green = rgb[:, :, 1] + np.float32(gain) * mask.data
+    out = rgb.copy()
+    out[:, :, 1] = np.clip(np.rint(green), 0, 255).astype(np.uint8)
+    return out
 
 
 def mask_to_gray(mask: VisualizationMask) -> np.ndarray:

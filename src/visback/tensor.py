@@ -1,9 +1,12 @@
-"""Dense rank-3 tensors (channels x height x width) and the numeric kernels
-the forward pass and the mask backprojection need.
+"""The (channels, height, width) ``Tensor`` and the numeric kernels the
+forward pass and the mask backprojection need.
 
-Tensors are float32, channel-major, row-major. ``conv2d_nhwc`` is the one
-convolution kernel, on (N, H, W, C) batches; ``conv2d`` runs one tensor
-through it. Operations are pure: they never mutate their inputs.
+``Tensor`` is the float32, channel-major type of a network input image and of
+each map in an ``ActivationTrace``; masks, class maps and overlays downstream
+are plain (H, W) arrays. ``conv2d_nhwc`` is the one convolution kernel, on
+(N, H, W, C) batches; ``conv2d`` runs one tensor through it.
+``deconv_upscale`` is the mask's unit-weight transposed convolution on a
+single (h, w) map. Operations are pure: they never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ class ShapeError(ValueError):
 class Tensor:
     """Immutable (channels, height, width) array of float32.
 
-    Construction copies the input array; use the classmethods for common cases.
-    The wrapped array is marked read-only, so slices of ``data`` are safe to
-    hand out and tensors can be shared across threads.
+    Construction copies the input array. The wrapped array is marked
+    read-only, so slices of ``data`` are safe to hand out and tensors can be
+    shared across threads.
     """
 
     data: np.ndarray
@@ -49,14 +52,6 @@ class Tensor:
         object.__setattr__(t, "data", arr)
         return t
 
-    @classmethod
-    def zeros(cls, channels: int, height: int, width: int) -> "Tensor":
-        return cls._wrap(np.zeros((channels, height, width), dtype=np.float32))
-
-    @classmethod
-    def full(cls, channels: int, height: int, width: int, value: float) -> "Tensor":
-        return cls._wrap(np.full((channels, height, width), value, dtype=np.float32))
-
     @property
     def channels(self) -> int:
         return self.data.shape[0]
@@ -72,10 +67,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
-
-    def flat(self) -> np.ndarray:
-        """Flat copy in channel-major, row-major order."""
-        return self.data.reshape(-1).copy()
 
 
 @dataclass(frozen=True)
@@ -150,15 +141,8 @@ def conv2d(inp: Tensor, weights: np.ndarray, geometry: ConvGeometry, bias: np.nd
     return Tensor._wrap(np.ascontiguousarray(y[0].transpose(2, 0, 1)))
 
 
-def channel_mean(t: Tensor) -> Tensor:
-    """Average the channels into a single map (the per-layer feature-map mean)."""
-    # float64 accumulation so the result is independent of channel count quirks
-    m = t.data.sum(axis=0, dtype=np.float64) / t.channels
-    return Tensor._wrap(m.astype(np.float32)[np.newaxis])
-
-
-def deconv_upscale(t: Tensor, geometry: ConvGeometry, target_h: int, target_w: int) -> Tensor:
-    """Upscale a single-channel map with a unit-weight, zero-bias transposed convolution.
+def deconv_upscale(m: np.ndarray, geometry: ConvGeometry, target_h: int, target_w: int) -> np.ndarray:
+    """Upscale an (h, w) map to (target_h, target_w) with a unit-weight, zero-bias transposed convolution.
 
     Each input value is spread over the kernel_h x kernel_w footprint its
     position would have covered in the forward convolution, and overlapping
@@ -166,10 +150,11 @@ def deconv_upscale(t: Tensor, geometry: ConvGeometry, target_h: int, target_w: i
     requested target may exceed it by at most stride-1 per axis (the forward
     floor division loses that much), and the excess rows/columns stay zero.
     """
-    if t.channels != 1:
-        raise ShapeError(f"deconv_upscale expects a single-channel map, got {t.channels} channels")
-    nat_h = (t.height - 1) * geometry.stride_h + geometry.kernel_h
-    nat_w = (t.width - 1) * geometry.stride_w + geometry.kernel_w
+    if m.ndim != 2:
+        raise ShapeError(f"deconv_upscale expects an (h, w) map, got shape {m.shape}")
+    h, w = m.shape
+    nat_h = (h - 1) * geometry.stride_h + geometry.kernel_h
+    nat_w = (w - 1) * geometry.stride_w + geometry.kernel_w
     if not 0 <= target_h - nat_h < geometry.stride_h:
         raise ShapeError(
             f"target height {target_h} unreachable from natural height {nat_h} with stride {geometry.stride_h}"
@@ -179,28 +164,10 @@ def deconv_upscale(t: Tensor, geometry: ConvGeometry, target_h: int, target_w: i
             f"target width {target_w} unreachable from natural width {nat_w} with stride {geometry.stride_w}"
         )
     out = np.zeros((target_h, target_w), dtype=np.float32)
-    m = t.data[0]
     sh, sw = geometry.stride_h, geometry.stride_w
-    span_h = (t.height - 1) * sh + 1
-    span_w = (t.width - 1) * sw + 1
+    span_h = (h - 1) * sh + 1
+    span_w = (w - 1) * sw + 1
     for ki in range(geometry.kernel_h):
         for kj in range(geometry.kernel_w):
             out[ki : ki + span_h : sh, kj : kj + span_w : sw] += m
-    return Tensor._wrap(out[np.newaxis])
-
-
-def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
-    """Pointwise product of two identically shaped tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch for elementwise product: {a.shape} vs {b.shape}")
-    return Tensor._wrap(a.data * b.data)
-
-
-def normalize_01(t: Tensor) -> Tensor:
-    """Rescale to [0, 1] by (x - min) / (max - min); a constant tensor maps to all zeros."""
-    lo = float(t.data.min())
-    hi = float(t.data.max())
-    if hi == lo:
-        return Tensor.zeros(*t.shape)
-    return Tensor._wrap((t.data - np.float32(lo)) / (np.float32(hi) - np.float32(lo)))
-
+    return out

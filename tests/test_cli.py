@@ -2,8 +2,10 @@
 miniature problem, exit codes for each failure class, and artifact formats."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from visback.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer, save_config
 from visback.training import FrameDataset, LABELS_FILE
 from visback.weights import WeightSet, load_weights, save_weights, zero_weights
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _tiny_config() -> NetworkConfig:
@@ -71,10 +75,13 @@ def test_version_flag(capsys):
 
 
 def test_console_script_is_installed():
+    # the subprocess finds the package in an uninstalled checkout too
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-m", "visback", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     if proc.returncode != 0:
-        proc = subprocess.run(["visback", "--version"], capture_output=True, text=True)
+        proc = subprocess.run(["visback", "--version"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert visback.__version__ in proc.stdout
 
@@ -199,6 +206,17 @@ def test_train_divergence_is_numeric_error(workbench, tmp_path, capsys):
 # -------------------------------------------------------------------- explain
 
 
+def _assert_overlay_pixels(out, frame_path, gain):
+    """Red and blue are the input frame; green is clip(rint(g + gain * mask))."""
+    frame = imageio.read_ppm(frame_path)
+    mask = imageio.read_mask_dump(out / "mask.msk").data
+    got = imageio.read_ppm(out / "overlay.ppm")
+    np.testing.assert_array_equal(got[:, :, [0, 2]], frame[:, :, [0, 2]])
+    green = np.clip(np.rint(frame[:, :, 1] + np.float32(gain) * mask), 0, 255)
+    np.testing.assert_array_equal(got[:, :, 1], green)
+    assert np.any(got[:, :, 1] != frame[:, :, 1])  # the mask is not blank
+
+
 def test_explain_outputs(workbench, tmp_path, capsys):
     out = tmp_path / "explain"
     rc = main(["explain", "--weights", str(workbench["weights_path"]),
@@ -216,10 +234,20 @@ def test_explain_outputs(workbench, tmp_path, capsys):
 
     overlay = imageio.read_ppm(out / "overlay.ppm")
     assert overlay.shape == (12, 16, 3)
+    _assert_overlay_pixels(out, workbench["frame0"], 255.0)
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "explain"
     assert set(manifest["outputs"]) == {"mask.pgm", "mask.msk", "overlay.ppm"}
+
+
+def test_explain_overlay_pixels_at_gain_100(workbench, tmp_path, capsys):
+    out = tmp_path / "explain"
+    rc = main(["explain", "--weights", str(workbench["weights_path"]),
+               "--image", str(workbench["frame0"]), "--out", str(out), "--gain", "100"])
+    assert rc == EXIT_OK
+    capsys.readouterr()
+    _assert_overlay_pixels(out, workbench["frame0"], 100.0)
 
 
 def test_explain_mask_trace_files(workbench, tmp_path):
@@ -311,6 +339,20 @@ def test_shift_usage_errors(workbench, tmp_path, capsys):
     assert main(base + ["--step", "0"]) == EXIT_USAGE
     assert main(base + ["--range=-20..20"]) == EXIT_USAGE  # exceeds width 16
     assert main(base + ["--dilate", "-1"]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_shift_usage_errors_precede_file_reads(tmp_path, capsys):
+    """Flag checks that need no config run before the weights are read."""
+    base = ["shift", "--weights", str(tmp_path / "none.pnw"),
+            "--image", str(tmp_path / "none.ppm"), "--out", str(tmp_path / "o")]
+    for flags in (["--threshold", "2"], ["--dilate", "-1"], ["--range", "oops"],
+                  ["--range", "1..5"], ["--step", "0"]):
+        assert main(base + flags) == EXIT_USAGE, flags
+        assert "No such file" not in capsys.readouterr().err
+    # the width check needs the config, so a missing file is reported first
+    assert main(base + ["--range=-20..20"]) == EXIT_DATA
+    assert main(base) == EXIT_DATA
     capsys.readouterr()
 
 

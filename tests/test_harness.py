@@ -37,11 +37,11 @@ BATCH_REL_TOL = 1e-5  # batched vs per-frame steering, relative to the series' l
 
 
 def vmask(arr2d):
-    return VisualizationMask(Tensor(np.asarray(arr2d, dtype=np.float32)[np.newaxis]))
+    return VisualizationMask(np.asarray(arr2d, dtype=np.float32))
 
 
 def binary(arr2d):
-    return Tensor(np.asarray(arr2d, dtype=np.float32)[np.newaxis])
+    return np.asarray(arr2d) > 0.5
 
 
 def seg_from(arr2d, t=0.5, radius=0):
@@ -52,10 +52,11 @@ def seg_from(arr2d, t=0.5, radius=0):
 
 def test_threshold_is_strictly_greater():
     out = threshold_mask(vmask([[0.1, 0.3]]), 0.2)
-    np.testing.assert_array_equal(out.data[0], [[0.0, 1.0]])
+    assert out.dtype == np.bool_
+    np.testing.assert_array_equal(out, [[False, True]])
     # a value exactly at the threshold stays out
     out_eq = threshold_mask(vmask([[0.2, 0.20001]]), 0.2)
-    np.testing.assert_array_equal(out_eq.data[0], [[0.0, 1.0]])
+    np.testing.assert_array_equal(out_eq, [[False, True]])
 
 
 def test_threshold_range_check():
@@ -68,56 +69,53 @@ def test_threshold_range_check():
 # --- dilation ----------------------------------------------------------------
 
 def test_dilate_center_pixel_radius_1():
-    m = np.zeros((5, 5), dtype=np.float32)
-    m[2, 2] = 1.0
-    out = dilate(binary(m), 1)
-    want = np.zeros((5, 5), dtype=np.float32)
-    want[1:4, 1:4] = 1.0
-    np.testing.assert_array_equal(out.data[0], want)
+    m = np.zeros((5, 5), dtype=bool)
+    m[2, 2] = True
+    out = dilate(m, 1)
+    want = np.zeros((5, 5), dtype=bool)
+    want[1:4, 1:4] = True
+    np.testing.assert_array_equal(out, want)
 
 
 def test_dilate_radius_0_is_identity():
-    m = (np.random.default_rng(0).uniform(size=(6, 6)) > 0.6).astype(np.float32)
-    t = binary(m)
-    out = dilate(t, 0)
-    np.testing.assert_array_equal(out.data, t.data)
+    m = np.random.default_rng(0).uniform(size=(6, 6)) > 0.6
+    np.testing.assert_array_equal(dilate(m, 0), m)
 
 
 def test_dilate_clips_at_border():
-    m = np.zeros((4, 4), dtype=np.float32)
-    m[0, 0] = 1.0
-    out = dilate(binary(m), 2)
-    want = np.zeros((4, 4), dtype=np.float32)
-    want[:3, :3] = 1.0
-    np.testing.assert_array_equal(out.data[0], want)
+    m = np.zeros((4, 4), dtype=bool)
+    m[0, 0] = True
+    out = dilate(m, 2)
+    want = np.zeros((4, 4), dtype=bool)
+    want[:3, :3] = True
+    np.testing.assert_array_equal(out, want)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
 @settings(max_examples=25)
 def test_dilate_matches_window_scan_oracle(seed, radius):
     rng = np.random.default_rng(seed)
-    m = (rng.uniform(size=(16, 16)) > 0.85).astype(np.float32)
-    got = dilate(binary(m), radius).data[0]
-    want = dilate_loops(m.astype(bool), radius).astype(np.float32)
-    np.testing.assert_array_equal(got, want)
+    m = rng.uniform(size=(16, 16)) > 0.85
+    np.testing.assert_array_equal(dilate(m, radius), dilate_loops(m, radius))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(0, 2))
 @settings(max_examples=25)
 def test_dilate_monotone_and_composes(seed, ra, rb):
     rng = np.random.default_rng(seed)
-    m = (rng.uniform(size=(12, 12)) > 0.9).astype(np.float32)
-    t = binary(m)
-    once = dilate(t, ra)
-    assert np.all(once.data >= t.data)  # dilation only grows the set
-    twice = dilate(dilate(t, ra), rb)
-    joint = dilate(t, ra + rb)
-    np.testing.assert_array_equal(twice.data, joint.data)
+    m = rng.uniform(size=(12, 12)) > 0.9
+    once = dilate(m, ra)
+    assert np.all(once >= m)  # dilation only grows the set
+    np.testing.assert_array_equal(dilate(once, rb), dilate(m, ra + rb))
 
 
 def test_dilate_rejects_nonbinary_and_negative_radius():
     with pytest.raises(ValueError):
-        dilate(binary([[0.5]]), 1)
+        dilate(np.array([[0.5]]), 1)
+    with pytest.raises(ValueError):  # a 0/1 float map is not a bool map either
+        dilate(np.array([[1.0]], dtype=np.float32), 1)
+    with pytest.raises(ShapeError):
+        dilate(np.zeros((1, 2, 2), dtype=bool), 1)
     with pytest.raises(ValueError):
         dilate(binary([[1.0]]), -1)
 
@@ -132,13 +130,20 @@ def test_scaled_dilation_radius():
 def test_segment_combines_threshold_and_dilate():
     mask = vmask([[0.0, 0.9, 0.0, 0.0]])
     s = segment(mask, t=0.5, radius=1)
-    np.testing.assert_array_equal(s.class1.data[0], [[1.0, 1.0, 1.0, 0.0]])
-    np.testing.assert_array_equal(s.class2.data[0], [[0.0, 0.0, 0.0, 1.0]])
+    np.testing.assert_array_equal(s.class1, [[True, True, True, False]])
+    np.testing.assert_array_equal(s.class2, [[False, False, False, True]])
 
 
 def test_class_segmentation_validation():
     with pytest.raises(ValueError):
-        ClassSegmentation(binary([[0.25]]), 0.2, 1)
+        ClassSegmentation(np.array([[0.25]]), 0.2, 1)
+    with pytest.raises(ValueError):
+        ClassSegmentation(np.array([[1.0]], dtype=np.float32), 0.2, 1)
+    with pytest.raises(ShapeError):
+        ClassSegmentation(np.ones((1, 1, 1), dtype=bool), 0.2, 1)
+    s = ClassSegmentation(binary([[1.0, 0.0]]), 0.2, 1)
+    with pytest.raises(ValueError):
+        s.class1[0, 0] = False  # read-only
     with pytest.raises(ValueError):
         ClassSegmentation(binary([[1.0]]), 1.2, 1)
     with pytest.raises(ValueError):
@@ -220,7 +225,7 @@ def test_shift_class_composites_over_unmoved_frame():
 
 
 def test_shift_rejects_out_of_range_dx_and_bad_mode():
-    img = Tensor.zeros(1, 2, 4)
+    img = Tensor(np.zeros((1, 2, 4), dtype=np.float32))
     s = seg_from(np.zeros((2, 4), dtype=np.float32))
     with pytest.raises(ValueError):
         shift_class(img, s, "all", 4)
@@ -229,7 +234,7 @@ def test_shift_rejects_out_of_range_dx_and_bad_mode():
     with pytest.raises(ValueError):
         shift_class(img, s, "sideways", 1)
     with pytest.raises(ShapeError):
-        shift_class(Tensor.zeros(1, 3, 5), s, "all", 1)
+        shift_class(Tensor(np.zeros((1, 3, 5), dtype=np.float32)), s, "all", 1)
 
 
 # --- line fitting -------------------------------------------------------------
@@ -282,8 +287,8 @@ def tiny_net():
     rng = np.random.default_rng(77)
     ws = random_weights(cfg, rng)
     img = random_image(cfg, rng)
-    mask_vals = rng.uniform(0, 1, (1, 10, 16)).astype(np.float32)
-    seg_ = segment(VisualizationMask(Tensor(mask_vals)), t=0.5, radius=1)
+    mask_vals = rng.uniform(0, 1, (10, 16)).astype(np.float32)
+    seg_ = segment(VisualizationMask(mask_vals), t=0.5, radius=1)
     return cfg, ws, img, seg_
 
 

@@ -18,7 +18,6 @@ from visback.imageio import (
     write_ppm,
 )
 from visback.saliency import VisualizationMask
-from visback.tensor import Tensor
 
 
 def test_pgm_round_trip_bit_exact(tmp_path):
@@ -107,7 +106,7 @@ def test_reader_rejects_garbage_header(tmp_path):
 def test_mask_dump_round_trip_preserves_bits(tmp_path_factory, seed):
     rng = np.random.default_rng(seed)
     data = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
-    mask = VisualizationMask(Tensor(data.astype(np.float32)[np.newaxis]))
+    mask = VisualizationMask(data)
     path = tmp_path_factory.mktemp("msk") / "m.msk"
     write_mask_dump(path, mask)
     back = read_mask_dump(path)
@@ -116,7 +115,7 @@ def test_mask_dump_round_trip_preserves_bits(tmp_path_factory, seed):
 
 def test_mask_dump_rejects_bad_magic(tmp_path):
     path = tmp_path / "m.msk"
-    write_mask_dump(path, VisualizationMask(Tensor.zeros(1, 2, 2)))
+    write_mask_dump(path, VisualizationMask(np.zeros((2, 2))))
     blob = bytearray(path.read_bytes())
     blob[:4] = b"NOPE"
     path.write_bytes(bytes(blob))
@@ -126,7 +125,7 @@ def test_mask_dump_rejects_bad_magic(tmp_path):
 
 def test_mask_dump_rejects_truncation_and_padding(tmp_path):
     path = tmp_path / "m.msk"
-    write_mask_dump(path, VisualizationMask(Tensor.zeros(1, 2, 2)))
+    write_mask_dump(path, VisualizationMask(np.zeros((2, 2))))
     blob = path.read_bytes()
     path.write_bytes(blob[:-3])
     with pytest.raises(MaskFileError):
@@ -143,11 +142,12 @@ def test_mask_dump_rejects_out_of_range_values(tmp_path):
     import struct
 
     from visback.imageio import MASK_MAGIC
-    payload = np.array([[2.5]], dtype="<f4").tobytes()
     path = tmp_path / "m.msk"
-    path.write_bytes(MASK_MAGIC + struct.pack("<II", 1, 1) + payload)
-    with pytest.raises(MaskFileError):
-        read_mask_dump(path)
+    for value in (2.5, np.nan, np.inf, -0.5):
+        payload = np.array([[0.5, value]], dtype="<f4").tobytes()
+        path.write_bytes(MASK_MAGIC + struct.pack("<II", 1, 2) + payload)
+        with pytest.raises(MaskFileError):
+            read_mask_dump(path)
 
 
 # A damaged file reads back or raises the format's own error; nothing else
@@ -170,8 +170,8 @@ def test_ppm_reader_survives_one_cut_or_bit_flip(tmp_path_factory, data):
 @settings(max_examples=200)
 def test_mask_reader_survives_one_cut_or_bit_flip(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "m.msk"
-    values = np.random.default_rng(3).uniform(0.0, 1.0, (1, 3, 4)).astype(np.float32)
-    write_mask_dump(path, VisualizationMask(Tensor(values)))
+    values = np.random.default_rng(3).uniform(0.0, 1.0, (3, 4)).astype(np.float32)
+    write_mask_dump(path, VisualizationMask(values))
     blob = path.read_bytes()
     path.write_bytes(corrupt(blob, data.draw(corruptions(len(blob)))))
     try:

@@ -126,7 +126,7 @@ def test_forward_rejects_mismatched_config_and_shape():
     with pytest.raises(ConfigError):
         forward(cfg, init_weights(relu_head, seed=0), img)
     with pytest.raises(ShapeError):
-        forward(cfg, ws, Tensor.zeros(3, 10, 10))
+        forward(cfg, ws, Tensor(np.zeros((3, 10, 10), dtype=np.float32)))
 
 
 def test_forward_does_not_revalidate_config(monkeypatch):

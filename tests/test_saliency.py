@@ -19,6 +19,10 @@ from visback.saliency import (
 from visback.tensor import ShapeError, Tensor
 
 
+def zeros(*shape):
+    return Tensor(np.zeros(shape, dtype=np.float32))
+
+
 def two_conv_cfg():
     """5x5 input -> conv 3x3 s1 -> 3x3 -> conv 3x3 s1 -> 1x1 -> fc."""
     return NetworkConfig(1, 5, 5, (
@@ -31,7 +35,7 @@ def two_conv_cfg():
 def hand_trace(cfg, conv_maps, image=None):
     """Assemble a trace from explicit conv activation maps."""
     if image is None:
-        image = Tensor.zeros(*cfg.input_shape)
+        image = zeros(*cfg.input_shape)
     entries = [(-1, image)]
     entries += list(zip(cfg.conv_indices(), conv_maps))
     return ActivationTrace(tuple(entries))
@@ -47,8 +51,8 @@ def test_intermediate_mask_ramp_example():
     maps = [Tensor(ramp), Tensor(np.ones((1, 1, 1), dtype=np.float32))]
     _, mtrace = compute_mask(hand_trace(cfg, maps), cfg)
     assert len(mtrace.masks) == 2
-    np.testing.assert_allclose(mtrace.masks[0].data, ramp, atol=1e-7)
-    np.testing.assert_allclose(mtrace.masks[1].data, 1.0)
+    np.testing.assert_allclose(mtrace.masks[0], ramp[0], atol=1e-7)
+    np.testing.assert_allclose(mtrace.masks[1], [[1.0]])
 
 
 def test_mask_single_conv_locality():
@@ -70,7 +74,7 @@ def test_mask_single_conv_locality():
 
 def test_mask_constant_zero_activations_give_zero_mask():
     cfg = two_conv_cfg()
-    maps = [Tensor.zeros(1, 3, 3), Tensor.zeros(1, 1, 1)]
+    maps = [zeros(1, 3, 3), zeros(1, 1, 1)]
     mask, _ = compute_mask(hand_trace(cfg, maps), cfg)
     np.testing.assert_array_equal(mask.data, 0.0)
 
@@ -88,7 +92,7 @@ def test_mask_has_input_dims_and_unit_range():
         # intermediate mask sizes telescope along the conv feature maps
         shapes = {row.index: row.output_shape for row in validate_config(cfg)}
         for level, idx in zip(mtrace.masks, cfg.conv_indices()):
-            assert (level.height, level.width) == shapes[idx][1:]
+            assert level.shape == shapes[idx][1:]
 
 
 def test_mask_uses_post_activation_maps():
@@ -156,72 +160,87 @@ def test_mask_scale_invariance():
 
 def test_trace_mismatch_wrong_shape():
     cfg = two_conv_cfg()
-    maps = [Tensor.zeros(1, 3, 3), Tensor.zeros(1, 2, 2)]  # deepest should be 1x1
+    maps = [zeros(1, 3, 3), zeros(1, 2, 2)]  # deepest should be 1x1
     with pytest.raises(TraceMismatchError):
         compute_mask(hand_trace(cfg, maps), cfg)
 
 
 def test_trace_mismatch_missing_layer():
     cfg = two_conv_cfg()
-    maps = [Tensor.zeros(1, 3, 3)]
+    maps = [zeros(1, 3, 3)]
     with pytest.raises(TraceMismatchError):
         compute_mask(hand_trace(cfg, maps), cfg)
 
 
 def test_trace_mismatch_no_conv_layers():
     cfg = NetworkConfig(1, 2, 2, (fc_layer(1, activation="none"),))
-    trace = ActivationTrace(((-1, Tensor.zeros(1, 2, 2)),))
+    trace = ActivationTrace(((-1, zeros(1, 2, 2)),))
     with pytest.raises(TraceMismatchError):
         compute_mask(trace, cfg)
 
 
 def test_visualization_mask_validates_range_and_channels():
-    with pytest.raises(ValueError):
-        VisualizationMask(Tensor(np.array([[[1.5]]], dtype=np.float32)))
+    for bad in (1.5, -0.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            VisualizationMask(np.array([[0.5, bad]], dtype=np.float32))
     with pytest.raises(ShapeError):
-        VisualizationMask(Tensor.zeros(2, 2, 2))
+        VisualizationMask(np.zeros((2, 2, 2)))
+    with pytest.raises(ShapeError):
+        VisualizationMask(np.zeros((0, 2)))
+    src = np.full((2, 2), 0.5)
+    m = VisualizationMask(src)
+    src[0, 0] = 0.0
+    assert m.data.dtype == np.float32 and m.data[0, 0] == 0.5
+    with pytest.raises(ValueError):
+        m.data[0, 0] = 1.0  # read-only
     with pytest.raises(ValueError):
         MaskTrace(())
+    with pytest.raises(ShapeError):
+        MaskTrace((np.zeros((1, 2, 2)),))
 
 
 # --- overlay ----------------------------------------------------------------
 
 def unit_mask(h, w, value):
-    return VisualizationMask(Tensor.full(1, h, w, value))
+    return VisualizationMask(np.full((h, w), value, dtype=np.float32))
 
 
 def test_overlay_zero_mask_is_identity():
     rng = np.random.default_rng(4)
-    img = Tensor(rng.uniform(0, 255, (3, 4, 6)).astype(np.float32))
+    img = rng.integers(0, 256, (4, 6, 3), dtype=np.uint8)
     out = overlay(img, unit_mask(4, 6, 0.0))
-    np.testing.assert_array_equal(out.data, img.data)
+    assert out.dtype == np.uint8
+    np.testing.assert_array_equal(out, img)
 
 
 def test_overlay_full_mask_saturates_green():
-    img = Tensor(np.full((3, 3, 3), 100.0, dtype=np.float32))
+    img = np.full((3, 3, 3), 100, dtype=np.uint8)
     out = overlay(img, unit_mask(3, 3, 1.0))  # default gain 255
-    np.testing.assert_array_equal(out.data[1], 255.0)
-    np.testing.assert_array_equal(out.data[0], 100.0)
-    np.testing.assert_array_equal(out.data[2], 100.0)
+    np.testing.assert_array_equal(out[:, :, 1], 255)
+    np.testing.assert_array_equal(out[:, :, 0], 100)
+    np.testing.assert_array_equal(out[:, :, 2], 100)
 
 
 def test_overlay_half_mask_gain_100_adds_50():
-    img = Tensor(np.full((3, 2, 2), 60.0, dtype=np.float32))
+    img = np.full((2, 2, 3), 60, dtype=np.uint8)
     out = overlay(img, unit_mask(2, 2, 0.5), gain=100.0)
-    np.testing.assert_allclose(out.data[1], 110.0)
-    np.testing.assert_allclose(out.data[0], 60.0)
+    np.testing.assert_array_equal(out[:, :, 1], 110)
+    np.testing.assert_array_equal(out[:, :, 0], 60)
+    np.testing.assert_array_equal(img, 60)  # the input frame is not modified
 
 
 def test_overlay_shape_checks():
-    img = Tensor.zeros(3, 4, 4)
+    img = np.zeros((4, 4, 3), dtype=np.uint8)
     with pytest.raises(ShapeError):
         overlay(img, unit_mask(3, 4, 0.5))
     with pytest.raises(ShapeError):
-        overlay(Tensor.zeros(1, 4, 4), unit_mask(4, 4, 0.5))
+        overlay(np.zeros((4, 4, 1), dtype=np.uint8), unit_mask(4, 4, 0.5))
+    with pytest.raises(ShapeError):
+        overlay(img.astype(np.float32), unit_mask(4, 4, 0.5))
 
 
 def test_mask_to_gray_quantization():
-    m = VisualizationMask(Tensor(np.array([[[0.0, 0.5, 1.0]]], dtype=np.float32)))
+    m = VisualizationMask(np.array([[0.0, 0.5, 1.0]], dtype=np.float32))
     gray = mask_to_gray(m)
     assert gray.dtype == np.uint8
     np.testing.assert_array_equal(gray, [[0, 128, 255]])

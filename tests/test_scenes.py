@@ -113,7 +113,7 @@ def test_render_scene_returns_labeled_frame():
 
 
 def test_labeled_frame_rejects_nonfinite_steering():
-    img = Tensor.zeros(3, 4, 4)
+    img = Tensor(np.zeros((3, 4, 4), dtype=np.float32))
     with pytest.raises(ValueError):
         LabeledFrame(img, float("nan"))
 
