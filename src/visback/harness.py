@@ -206,7 +206,7 @@ def run_shift_experiment(cfg: NetworkConfig, weights: WeightSet, image: Tensor,
     the per-frame ``network.forward``, the call ``explain`` makes, so the dx=0
     row of every series equals the explain prediction bit for bit. The shifted
     frames of each mode are stacked and scored by one ``network.forward_batch``,
-    so those rows agree with per-frame forwards to float32 rounding. Raises
+    which is batch-invariant, so those rows equal per-frame forwards too. Raises
     ``NonFiniteOutputError`` if any prediction is NaN or infinite.
     """
     shift_list = sorted(set(int(s) for s in shifts))

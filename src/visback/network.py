@@ -3,7 +3,7 @@
 Two entry points share one set of layer kernels and expressions: the input
 check and scaling of ``normalize_input``, the NHWC im2col conv
 ``tensor.conv2d_nhwc`` (bound here as ``_conv_forward_batch``), and the FC
-and ReLU arithmetic.
+head ``_fc_head``.
 
 * ``forward`` runs one image and records the post-activation map of every
   conv layer (plus the normalized input) as a (C, H, W) tensor; this trace
@@ -25,10 +25,10 @@ and ReLU arithmetic.
   add their GEMMs into contiguous slices of a dense accumulator, and each
   phase is copied into the strided gradient once.
 
-Both are deterministic functions of (config, weights, input). On the toy
-config a frame's conv maps are bit-equal from ``forward`` and from any batch;
-predictions differ in the last bits, through the FC head's GEMM shape (one
-row in ``forward``, a chunk's rows in a batch). See README "Determinism".
+Both are deterministic functions of (config, weights, input). The conv
+kernel runs one GEMM and the FC head one matrix-vector product per frame, so
+a frame's conv maps and prediction are bit-identical from ``forward`` and
+from a batch of any size, at any chunk position. See README "Determinism".
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
-from .config import ConfigError, NetworkConfig
+from .config import ConfigError, LayerSpec, NetworkConfig
 from .tensor import ConvGeometry, ShapeError, Tensor, nhwc_kernel
 from .tensor import conv2d_nhwc as _conv_forward_batch
 from .weights import WeightSet
@@ -88,41 +88,63 @@ class ActivationTrace:
 def normalize_input(x: np.ndarray) -> np.ndarray:
     """Hard-coded input normalization: x / 127.5 - 1. Never trained."""
     lo, hi = float(x.min()), float(x.max())
-    if lo < 0.0 or hi > 255.0:
+    if not (lo >= 0.0 and hi <= 255.0):  # also true for NaN
         raise InputRangeError(f"image values must lie in [0, 255], got [{lo}, {hi}]")
     return x / np.float32(NORMALIZATION_SCALE) - np.float32(1.0)
 
 
-def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[SteeringOutput, ActivationTrace]:
-    """Run one image through the network; returns the steering value and the trace."""
+def _check_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray) -> None:
+    """Entry checks of ``forward`` (a batch of one), ``forward_batch`` and the loss."""
     if weights.config != cfg:
         raise ConfigError("weight set was built for a different config")
-    if image.shape != cfg.input_shape:
-        raise ShapeError(f"image shape {image.shape} != config input shape {cfg.input_shape}")
+    if x.ndim != 4 or x.shape[1:] != cfg.input_shape:
+        raise ShapeError(f"batch shape {x.shape} incompatible with config input {cfg.input_shape}")
+    # with a normalization layer, normalize_input's range check rejects NaN and inf
+    if cfg.layers[0].kind != "normalization" and not np.isfinite(x).all():
+        raise ValueError("batch elements must be finite")
 
-    entries: list[tuple[int, Tensor]] = []
-    current: Tensor | np.ndarray = image
+
+def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[SteeringOutput, ActivationTrace]:
+    """Run one image through the network; returns the steering value and the trace."""
+    _check_batch(cfg, weights, image.data[np.newaxis])
+    entries = [] if cfg.layers[0].kind == "normalization" else [(-1, image)]
+    current = image
     for i, layer in enumerate(cfg.layers):
         if layer.kind == "normalization":
             current = Tensor._wrap(normalize_input(current.data))
-            entries.append((i, current))
         elif layer.kind == "conv":
             current = tc.conv2d(current, weights.weight(i), layer.geometry, weights.bias(i))
             if layer.activation == "relu":
                 current = Tensor._wrap(np.maximum(current.data, np.float32(0.0)))
-            entries.append((i, current))
         else:
-            if isinstance(current, Tensor):  # the FC weights read the last conv map in (C, H, W) order
-                current = current.data.reshape(-1)
-            w2 = weights.weight(i).reshape(layer.units, -1)
-            current = current @ w2.T + weights.bias(i)
-            if layer.activation == "relu":
-                current = np.maximum(current, np.float32(0.0))
-
-    if not entries or cfg.layers[0].kind != "normalization":
-        entries.insert(0, (-1, image))
-    pred = float(current[0])
+            break
+        entries.append((i, current))
+    # the loop stopped at the first FC layer, i, whose weights read the last map in (C, H, W) order
+    pred = float(_fc_head(cfg, weights, current.data.reshape(1, -1), i)[0, 0])
     return SteeringOutput(pred), ActivationTrace(tuple(entries))
+
+
+def _fc_head(cfg: NetworkConfig, weights: WeightSet, a: np.ndarray, start: int, cache: list | None = None):
+    """Run the FC layers ``cfg.layers[start:]`` on (N, D) rows, one matrix-vector
+    product per row so that no row depends on the others (an (N, D) GEMM lets
+    BLAS block by N). Appends each layer's input rows and ReLU mask to ``cache`` if given."""
+    for i in range(start, len(cfg.layers)):
+        w2 = weights.weight(i).reshape(cfg.layers[i].units, -1)
+        z = (a[:, np.newaxis] @ w2.T)[:, 0] + weights.bias(i)
+        mask = _activate(z, cfg.layers[i])
+        if cache is not None:
+            cache.append(("fc", i, a, mask))
+        a = z
+    return a
+
+
+def _activate(z: np.ndarray, layer: LayerSpec) -> np.ndarray | None:
+    """Apply ``layer``'s activation to ``z`` in place; returns its ReLU mask, or None."""
+    if layer.activation != "relu":
+        return None
+    mask = z > 0
+    np.maximum(z, np.float32(0.0), out=z)
+    return mask
 
 
 # --- batched array path ----------------------------------------------------
@@ -163,11 +185,6 @@ def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, i
     return dx
 
 
-def _check_batch_shape(cfg: NetworkConfig, x: np.ndarray) -> None:
-    if x.ndim != 4 or x.shape[1:] != cfg.input_shape:
-        raise ShapeError(f"batch shape {x.shape} incompatible with config input {cfg.input_shape}")
-
-
 def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache: bool):
     """Forward one micro-batch, (N, C, H, W) float32; optionally keep what backward needs.
 
@@ -176,35 +193,23 @@ def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache
     must not be written to.
     """
     a = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float32)
-    cache: list[tuple] = []
+    cache: list[tuple] | None = [] if want_cache else None
     for i, layer in enumerate(cfg.layers):
         if layer.kind == "normalization":
             a = normalize_input(a)
-            cache.append(("normalization",))
         elif layer.kind == "conv":
             g = layer.geometry
-            in_hw = a.shape[1:3]
             w4 = nhwc_kernel(weights.weight(i), g)
             z, cols = _conv_forward_batch(a, w4, weights.bias(i), g)
-            mask = None
-            if layer.activation == "relu":
-                mask = z > 0
-                np.maximum(z, np.float32(0.0), out=z)
-            cache.append(("conv", i, cols if want_cache else None, mask, in_hw, z.shape[1:3], w4))
+            mask = _activate(z, layer)
+            if cache is not None:
+                cache.append(("conv", i, cols, mask, a.shape[1:3], z.shape[1:3], w4))
             a = z
         else:
-            if a.ndim == 4:  # the FC weights read the last conv map in (C, H, W) order
-                a = a.transpose(0, 3, 1, 2).reshape(a.shape[0], -1)
-            w2 = weights.weight(i).reshape(layer.units, -1)
-            z = a @ w2.T + weights.bias(i)
-            mask = None
-            if layer.activation == "relu":
-                mask = z > 0
-                np.maximum(z, np.float32(0.0), out=z)
-            cache.append(("fc", i, a if want_cache else None, mask))
-            a = z
-    preds = a.reshape(-1).astype(np.float32)
-    return preds, cache if want_cache else None
+            break
+    # the FC weights read the last map in (C, H, W) order
+    a = _fc_head(cfg, weights, a.transpose(0, 3, 1, 2).reshape(a.shape[0], -1), i, cache)
+    return a.reshape(-1), cache
 
 
 def forward_batch(cfg: NetworkConfig, weights: WeightSet, images: np.ndarray) -> np.ndarray:
@@ -212,10 +217,8 @@ def forward_batch(cfg: NetworkConfig, weights: WeightSet, images: np.ndarray) ->
 
     An empty stack gives an empty (0,) result.
     """
-    if weights.config != cfg:
-        raise ConfigError("weight set was built for a different config")
     x = np.asarray(images, dtype=np.float32)
-    _check_batch_shape(cfg, x)
+    _check_batch(cfg, weights, x)
     preds = np.empty(x.shape[0], dtype=np.float32)
     for lo in range(0, x.shape[0], MICRO_BATCH):
         chunk, _ = _run_batch(cfg, weights, x[lo : lo + MICRO_BATCH], want_cache=False)
@@ -230,7 +233,7 @@ def _loss_and_grads_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
     normalization layer has no parameters and receives none. The batch runs
     in micro-batches of ``MICRO_BATCH`` frames whose gradients are summed.
     """
-    _check_batch_shape(cfg, x)
+    _check_batch(cfg, weights, x)
     n = x.shape[0]
     if n == 0:
         raise ShapeError("cannot compute a loss over an empty batch")
@@ -266,9 +269,6 @@ def _chunk_loss_and_grads(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
     sq = float(np.sum(diff.astype(np.float64) ** 2))
 
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    conv_positions = [k for k, c in enumerate(cache) if c[0] == "conv"]
-    first_conv = conv_positions[0] if conv_positions else None
-
     upstream = (scale * diff).reshape(n, 1)  # d loss / d last-layer output
     for k in range(len(cache) - 1, -1, -1):
         entry = cache[k]
@@ -295,10 +295,8 @@ def _chunk_loss_and_grads(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
             dw = (dyr.T @ cols).reshape(g.out_channels, g.kernel_h, g.kernel_w, g.in_channels)
             db = dyr.sum(axis=0)
             grads[i] = (dw.transpose(0, 3, 1, 2).reshape(-1).astype(np.float32), db.astype(np.float32))
-            if k != first_conv:
+            if k > 0:  # the first layer's input (the image) needs no gradient
                 upstream = _conv_input_grad(dyr, w4, g, n, in_hw, out_hw)
-        else:  # normalization: fixed, no parameters, nothing below it
-            break
     return sq, grads
 
 
@@ -308,9 +306,5 @@ def backward(cfg: NetworkConfig, weights: WeightSet, image: Tensor, target: floa
     loss = (prediction - target)^2; the normalization layer gets no gradient.
     Returns (gradients, loss).
     """
-    if weights.config != cfg:
-        raise ConfigError("weight set was built for a different config")
-    if image.shape != cfg.input_shape:
-        raise ShapeError(f"image shape {image.shape} != config input shape {cfg.input_shape}")
     loss, grads = _loss_and_grads_batch(cfg, weights, image.data[np.newaxis], np.asarray([target]))
     return WeightSet(cfg, grads), loss

@@ -103,6 +103,8 @@ def conv2d_nhwc(x: np.ndarray, w4: np.ndarray, b: np.ndarray, g: ConvGeometry):
     Returns the NHWC output (N, Ho, Wo, Co) and the im2col matrix
     (N*Ho*Wo, Kh*Kw*Ci). In NHWC one kernel row of a window, Kw*Ci floats,
     is contiguous, so the gather copies Kh runs of that length per window.
+    The GEMM runs once per frame, so a frame's output does not depend on the
+    batch: one GEMM over all N*Ho*Wo rows would let BLAS block by N.
     """
     x = np.ascontiguousarray(x)  # keeps the reshape below a view
     n, h, w, ci = x.shape
@@ -111,7 +113,7 @@ def conv2d_nhwc(x: np.ndarray, w4: np.ndarray, b: np.ndarray, g: ConvGeometry):
         x.reshape(n, h, w * ci), (g.kernel_h, g.kernel_w * ci), axis=(1, 2)
     )[:, :: g.stride_h, :: g.stride_w * ci]  # (N, Ho, Wo, Kh, Kw*Ci)
     cols = np.ascontiguousarray(win).reshape(n * oh * ow, -1)
-    y = cols @ w4.reshape(g.out_channels, -1).T + b
+    y = np.matmul(cols.reshape(n, oh * ow, -1), w4.reshape(g.out_channels, -1).T) + b
     return y.reshape(n, oh, ow, g.out_channels), cols
 
 
@@ -136,7 +138,7 @@ def conv2d(inp: Tensor, weights: np.ndarray, geometry: ConvGeometry, bias: np.nd
     b = np.asarray(bias, dtype=np.float32)
     if b.size != geometry.out_channels:
         raise ShapeError(f"bias length {b.size} != out_channels {geometry.out_channels}")
-    # geometry stays the 4th positional argument: bench/layers.py labels conv spans by args[3]
+    # bench/layers.py labels spans by geometry position: args[2] here, args[3] in conv2d_nhwc, so pass it positionally
     y, _ = conv2d_nhwc(inp.data.transpose(1, 2, 0)[np.newaxis], nhwc_kernel(weights, geometry), b, geometry)
     return Tensor._wrap(np.ascontiguousarray(y[0].transpose(2, 0, 1)))
 

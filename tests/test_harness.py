@@ -33,7 +33,6 @@ from visback.tensor import ShapeError, Tensor
 from visback.weights import WeightSet, load_weights, zero_weights
 
 TRAINED_WEIGHTS = Path(__file__).resolve().parents[1] / "bench" / "toy_weights.pnw"
-BATCH_REL_TOL = 1e-5  # batched vs per-frame steering, relative to the series' largest |steering|
 
 
 def vmask(arr2d):
@@ -367,7 +366,7 @@ def test_experiment_shifted_rows_match_per_frame_forward(trained_frame):
         got = np.asarray(res.series(mode))
         want = np.array([network.forward(cfg, ws, shift_class(img, s, mode, dx))[0].inverse_turning_radius
                          for dx in res.shifts])
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=BATCH_REL_TOL * np.abs(want).max())
+        np.testing.assert_array_equal(got, want)  # bit for bit: a frame's prediction does not depend on its batch
 
 
 def test_experiment_reruns_are_bit_identical(trained_frame):
