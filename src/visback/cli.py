@@ -88,6 +88,8 @@ def _read_input_image(path, cfg: NetworkConfig) -> tuple[np.ndarray, Tensor]:
 def cmd_gen(args) -> int:
     if args.scenes < 0:
         raise UsageError(f"--scenes must be >= 0, got {args.scenes}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     for flag, value in (("--width", args.width), ("--height", args.height)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")

@@ -1,34 +1,29 @@
 """Forward pass with activation tracing, and the training-grade backward pass.
 
-Two entry points share one set of layer kernels and expressions: the input
-check and scaling of ``normalize_input``, the NHWC im2col conv
-``tensor.conv2d_nhwc`` (bound here as ``_conv_forward_batch``), and the FC
-head ``_fc_head``.
+One layer loop, ``_run_batch``, runs every forward: it takes (N, C, H, W)
+batches, checks and scales them with ``normalize_input``, runs each conv
+through ``tensor.conv2d`` and the FC layers through ``_fc_head``. Conv
+activations stay NHWC, (N, H, W, C) in C order, so a conv's GEMM output
+(N*Ho*Wo, Co) already is the next layer's input and its gradient needs no
+transpose. The last conv map is flattened in (C, H, W) order for the FC
+weights.
 
-* ``forward`` runs one image and records the post-activation map of every
-  conv layer (plus the normalized input) as a (C, H, W) tensor; this trace
-  is what the mask backprojection consumes. Its convs are batches of one
-  through ``tensor.conv2d``.
-* The batched array path (``_run_batch`` / ``_loss_and_grads_batch``) powers
-  ``forward_batch``, ``backward`` and the SGD loop. It takes (N, C, H, W)
-  batches but keeps conv activations in NHWC, (N, H, W, C) in C order, so a
-  conv's GEMM output (N*Ho*Wo, Co) already is the next layer's input and its
-  gradient needs no transpose. Both paths flatten the last conv map in
-  (C, H, W) order, so FC weights read the same features.
+* ``forward`` runs one image as a batch of one and returns, with the
+  prediction, the post-activation map of every conv layer as a (C, H, W)
+  tensor; this trace is what the mask backprojection consumes.
+* ``forward_batch``, ``backward`` and the SGD loop run micro-batches of
+  ``MICRO_BATCH`` frames, so a chunk's im2col matrices and activations stay
+  near the L2 cache. The loss and the parameter gradients are summed over
+  the chunks with the whole batch's ``2/N`` scale. The input gradient of a
+  strided conv is scattered by stride phase: the kernel taps that land on
+  one phase (row % stride_h, col % stride_w) of the input grid add their
+  GEMMs into contiguous slices of a dense accumulator, and each phase is
+  copied into the strided gradient once.
 
-  The batched path is cache-blocked: it runs forward and backward over
-  micro-batches of ``MICRO_BATCH`` frames, so a chunk's im2col matrices and
-  activations stay near the L2 cache. The loss and the parameter gradients
-  are summed over the chunks with the whole batch's ``2/N`` scale. The input
-  gradient of a strided conv is scattered by stride phase: the kernel taps
-  that land on one phase (row % stride_h, col % stride_w) of the input grid
-  add their GEMMs into contiguous slices of a dense accumulator, and each
-  phase is copied into the strided gradient once.
-
-Both are deterministic functions of (config, weights, input). The conv
-kernel runs one GEMM and the FC head one matrix-vector product per frame, so
-a frame's conv maps and prediction are bit-identical from ``forward`` and
-from a batch of any size, at any chunk position. See README "Determinism".
+Every result is a deterministic function of (config, weights, input). The
+conv kernel runs one GEMM and the FC head one matrix-vector product per
+frame, so a frame's conv maps and prediction are bit-identical in a batch of
+any size, at any chunk position. See README "Determinism".
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ import numpy as np
 from . import tensor as tc
 from .config import ConfigError, LayerSpec, NetworkConfig
 from .tensor import ConvGeometry, ShapeError, Tensor, nhwc_kernel
-from .tensor import conv2d_nhwc as _conv_forward_batch
+from .tensor import conv2d_nhwc as _conv_forward_batch  # noqa: F401  bench/layers.py hooks this name
 from .weights import WeightSet
 
 NORMALIZATION_SCALE = 127.5  # x / 127.5 - 1 maps [0, 255] onto [-1, 1]
@@ -67,22 +62,10 @@ class SteeringOutput:
 
 @dataclass(frozen=True)
 class ActivationTrace:
-    """Post-activation record of one forward pass.
+    """Post-activation (C, H, W) map of every conv layer of one forward pass,
+    as (layer index, map) pairs in network order."""
 
-    ``entries[0]`` is the input after normalization (layer index -1 when the
-    config has no normalization layer); the remaining entries are the conv
-    layers' post-activation maps in network order.
-    """
-
-    entries: tuple[tuple[int, Tensor], ...]
-
-    @property
-    def normalized_input(self) -> Tensor:
-        return self.entries[0][1]
-
-    @property
-    def conv_entries(self) -> tuple[tuple[int, Tensor], ...]:
-        return self.entries[1:]
+    conv_entries: tuple[tuple[int, Tensor], ...]
 
 
 def normalize_input(x: np.ndarray) -> np.ndarray:
@@ -106,22 +89,13 @@ def _check_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray) -> None:
 
 def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[SteeringOutput, ActivationTrace]:
     """Run one image through the network; returns the steering value and the trace."""
-    _check_batch(cfg, weights, image.data[np.newaxis])
-    entries = [] if cfg.layers[0].kind == "normalization" else [(-1, image)]
-    current = image
-    for i, layer in enumerate(cfg.layers):
-        if layer.kind == "normalization":
-            current = Tensor._wrap(normalize_input(current.data))
-        elif layer.kind == "conv":
-            current = tc.conv2d(current, weights.weight(i), layer.geometry, weights.bias(i))
-            if layer.activation == "relu":
-                current = Tensor._wrap(np.maximum(current.data, np.float32(0.0)))
-        else:
-            break
-        entries.append((i, current))
-    # the loop stopped at the first FC layer, i, whose weights read the last map in (C, H, W) order
-    pred = float(_fc_head(cfg, weights, current.data.reshape(1, -1), i)[0, 0])
-    return SteeringOutput(pred), ActivationTrace(tuple(entries))
+    x = image.data[np.newaxis]
+    _check_batch(cfg, weights, x)
+    pred, cache = _run_batch(cfg, weights, x, want_cache=True)
+    # a conv entry ends with the layer's post-activation NHWC output
+    maps = tuple((e[1], Tensor._wrap(np.ascontiguousarray(e[-1][0].transpose(2, 0, 1))))
+                 for e in cache if e[0] == "conv")
+    return SteeringOutput(float(pred[0])), ActivationTrace(maps)
 
 
 def _fc_head(cfg: NetworkConfig, weights: WeightSet, a: np.ndarray, start: int, cache: list | None = None):
@@ -146,8 +120,6 @@ def _activate(z: np.ndarray, layer: LayerSpec) -> np.ndarray | None:
     np.maximum(z, np.float32(0.0), out=z)
     return mask
 
-
-# --- batched array path ----------------------------------------------------
 
 MICRO_BATCH = 4  # frames per forward/backward chunk; chosen by a sweep over {1, 2, 4, 8, 16}
 
@@ -186,7 +158,8 @@ def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, i
 
 
 def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache: bool):
-    """Forward one micro-batch, (N, C, H, W) float32; optionally keep what backward needs.
+    """Forward one micro-batch, (N, C, H, W) float32; optionally keep what backward
+    needs, with each conv layer's post-activation NHWC output.
 
     Conv activations are NHWC. A batch whose memory already is NHWC, such as
     the view ``training._to_yuv_batch`` returns, enters without a copy, so it
@@ -198,12 +171,10 @@ def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache
         if layer.kind == "normalization":
             a = normalize_input(a)
         elif layer.kind == "conv":
-            g = layer.geometry
-            w4 = nhwc_kernel(weights.weight(i), g)
-            z, cols = _conv_forward_batch(a, w4, weights.bias(i), g)
+            z, cols = tc.conv2d(a, weights.weight(i), layer.geometry, weights.bias(i))
             mask = _activate(z, layer)
             if cache is not None:
-                cache.append(("conv", i, cols, mask, a.shape[1:3], z.shape[1:3], w4))
+                cache.append(("conv", i, cols, mask, a.shape[1:3], z))
             a = z
         else:
             break
@@ -283,11 +254,10 @@ def _chunk_loss_and_grads(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
             w2 = weights.weight(i).reshape(layer.units, -1)
             upstream = upstream @ w2  # (N, D)
             if k > 0 and cache[k - 1][0] == "conv":  # (C, H, W) flatten order back to NHWC
-                _, below, _, _, _, (oh, ow), _ = cache[k - 1]
-                co = cfg.layers[below].geometry.out_channels
-                upstream = upstream.reshape(n, co, oh, ow).transpose(0, 2, 3, 1)
+                z = cache[k - 1][-1]
+                upstream = upstream.reshape(z.transpose(0, 3, 1, 2).shape).transpose(0, 2, 3, 1)
         elif entry[0] == "conv":
-            _, i, cols, mask, in_hw, out_hw, w4 = entry
+            _, i, cols, mask, in_hw, z = entry
             g = cfg.layers[i].geometry
             if mask is not None:
                 upstream = np.where(mask, upstream, np.float32(0.0))
@@ -296,7 +266,7 @@ def _chunk_loss_and_grads(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
             db = dyr.sum(axis=0)
             grads[i] = (dw.transpose(0, 3, 1, 2).reshape(-1).astype(np.float32), db.astype(np.float32))
             if k > 0:  # the first layer's input (the image) needs no gradient
-                upstream = _conv_input_grad(dyr, w4, g, n, in_hw, out_hw)
+                upstream = _conv_input_grad(dyr, nhwc_kernel(weights.weight(i), g), g, n, in_hw, z.shape[1:3])
     return sq, grads
 
 

@@ -4,9 +4,10 @@ forward pass and the mask backprojection need.
 ``Tensor`` is the float32, channel-major type of a network input image and of
 each map in an ``ActivationTrace``; masks, class maps and overlays downstream
 are plain (H, W) arrays. ``conv2d_nhwc`` is the one convolution kernel, on
-(N, H, W, C) batches; ``conv2d`` runs one tensor through it.
-``deconv_upscale`` is the mask's unit-weight transposed convolution on a
-single (h, w) map. Operations are pure: they never mutate their inputs.
+(N, H, W, C) batches; ``conv2d`` is the checked entry the network calls it
+through, with the flat weights a ``WeightSet`` stores. ``deconv_upscale`` is
+the mask's unit-weight transposed convolution on a single (h, w) map.
+Operations are pure: they never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -123,15 +124,18 @@ def nhwc_kernel(weights: np.ndarray, g: ConvGeometry) -> np.ndarray:
     return np.ascontiguousarray(w4.transpose(0, 2, 3, 1))
 
 
-def conv2d(inp: Tensor, weights: np.ndarray, geometry: ConvGeometry, bias: np.ndarray) -> Tensor:
-    """Valid strided convolution of one tensor: a batch of one through ``conv2d_nhwc``.
+def conv2d(x: np.ndarray, weights: np.ndarray, geometry: ConvGeometry, bias: np.ndarray):
+    """Valid strided convolution of an NHWC batch (N, H, W, Ci) through ``conv2d_nhwc``.
 
     ``weights`` is flat, laid out (out_channels, in_channels, kernel_h,
     kernel_w) in C order; ``bias`` holds one float per output channel.
+    Returns ``conv2d_nhwc``'s NHWC output and im2col matrix.
     """
-    if inp.channels != geometry.in_channels:
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d expects an (N, H, W, C) batch, got rank {x.ndim}")
+    if x.shape[3] != geometry.in_channels:
         raise ShapeError(
-            f"channel axis mismatch: input has {inp.channels} channels, geometry expects {geometry.in_channels}"
+            f"channel axis mismatch: input has {x.shape[3]} channels, geometry expects {geometry.in_channels}"
         )
     if np.size(weights) != geometry.weight_count():
         raise ShapeError(f"weight length {np.size(weights)} != expected {geometry.weight_count()}")
@@ -139,8 +143,7 @@ def conv2d(inp: Tensor, weights: np.ndarray, geometry: ConvGeometry, bias: np.nd
     if b.size != geometry.out_channels:
         raise ShapeError(f"bias length {b.size} != out_channels {geometry.out_channels}")
     # bench/layers.py labels spans by geometry position: args[2] here, args[3] in conv2d_nhwc, so pass it positionally
-    y, _ = conv2d_nhwc(inp.data.transpose(1, 2, 0)[np.newaxis], nhwc_kernel(weights, geometry), b, geometry)
-    return Tensor._wrap(np.ascontiguousarray(y[0].transpose(2, 0, 1)))
+    return conv2d_nhwc(x, nhwc_kernel(weights, geometry), b, geometry)
 
 
 def deconv_upscale(m: np.ndarray, geometry: ConvGeometry, target_h: int, target_w: int) -> np.ndarray:

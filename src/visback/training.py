@@ -57,6 +57,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.augmentation_shift_range) and self.augmentation_shift_range >= 0.0):
             raise ValueError(f"augmentation_shift_range must be >= 0, got {self.augmentation_shift_range}")
         if not (np.isfinite(self.steering_correction_gain) and self.steering_correction_gain > 0.0):
@@ -177,6 +179,8 @@ def generate_dataset(n: int, style: str = "mixed", seed: int = 0,
     """Render n seeded scenes into a dataset; deterministic in every argument."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if style != "mixed" and style not in STYLES:
         raise ValueError(f"style must be 'mixed' or one of {STYLES}, got {style!r}")
     rng = np.random.default_rng(seed)
@@ -186,8 +190,6 @@ def generate_dataset(n: int, style: str = "mixed", seed: int = 0,
         p = sample_scene_params(rng, style)
         images[i] = scenes.render_scene_rgb(p, width, height)
         labels[i] = scenes.ground_truth_steering(p.lane_offset, p.heading, p.curvature)
-    if n == 0:
-        return FrameDataset(np.zeros((0, height, width, 3), np.uint8), labels)
     return FrameDataset(images, labels)
 
 

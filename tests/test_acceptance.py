@@ -107,7 +107,7 @@ def test_acceptance_3_mask_scale_invariance():
         base, _ = compute_mask(trace, cfg)
         for lam in (0.1, 3.0, 10.0):
             scaled = ActivationTrace(tuple(
-                (i, Tensor(t.data * np.float32(lam))) for i, t in trace.entries
+                (i, Tensor(t.data * np.float32(lam))) for i, t in trace.conv_entries
             ))
             mask, _ = compute_mask(scaled, cfg)
             dev = float(np.max(np.abs(mask.data - base.data)))
@@ -150,7 +150,8 @@ def _relu_margin(cfg, ws, img):
         if spec.kind == "normalization":
             x = Tensor(x.data / np.float32(127.5) - np.float32(1.0))
         elif spec.kind == "conv":
-            pre = conv2d(x, ws.weight(i), spec.geometry, ws.bias(i)).data
+            pre = conv2d(x.data.transpose(1, 2, 0)[np.newaxis], ws.weight(i), spec.geometry,
+                         ws.bias(i))[0][0].transpose(2, 0, 1)
             margins.append(float(np.abs(pre).min()))
             peak = max(peak, float(np.abs(pre).max()))
             x = Tensor(np.maximum(pre, 0.0))

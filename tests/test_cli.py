@@ -122,6 +122,13 @@ def test_gen_negative_scenes_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_negative_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["gen", "--scenes", "2", "--seed", "-1", "--out", str(out)]) == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_unknown_style_is_usage_error(tmp_path, capsys):
     rc = main(["gen", "--scenes", "1", "--style", "oilpaint", "--out", str(tmp_path / "d")])
     assert rc == EXIT_USAGE
@@ -175,6 +182,16 @@ def test_train_negative_lr_is_usage_error(workbench, capsys):
                "--out", str(workbench["root"] / "x.pnw"), "--lr", "-0.1"])
     assert rc == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_train_negative_seed_is_usage_error(workbench, tmp_path, capsys):
+    out = tmp_path / "x.pnw"
+    rc = main(["train", "--config", str(workbench["cfg_path"]),
+               "--data", str(workbench["data_dir"]),
+               "--out", str(out), "--seed", "-1"])
+    assert rc == EXIT_USAGE
+    assert "seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_missing_dataset_is_data_error(workbench, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from conftest import oracle_layers, random_conv_config, random_image, random_weights
 from oracles import conv2d_loops, fd_loss_gradients, forward_loops, loss_loops
 from visback import config as config_module
-from visback import network
+from visback import network, tensor
 from visback.config import (
     ConfigError,
     LayerSpec,
@@ -71,9 +71,8 @@ def test_forward_hand_example():
     ws = ws_from_arrays(cfg, {0: ([3.0], [1.0]), 1: ([2.0], [-1.0])})
     out, trace = forward(cfg, ws, Tensor(np.array([[[2.0]]], dtype=np.float32)))
     assert out.inverse_turning_radius == pytest.approx(13.0)
-    # no normalization layer: entries[0] carries the raw input at index -1
-    assert trace.entries[0][0] == -1
-    assert trace.entries[1][1].data[0, 0, 0] == pytest.approx(7.0)
+    assert [i for i, _ in trace.conv_entries] == [0]
+    assert trace.conv_entries[0][1].data[0, 0, 0] == pytest.approx(7.0)
 
 
 def test_forward_trace_shapes_match_validation_table():
@@ -83,8 +82,6 @@ def test_forward_trace_shapes_match_validation_table():
     img = Tensor(rng.uniform(0, 255, cfg.input_shape).astype(np.float32))
     _, trace = forward(cfg, ws, img)
     table = {row.index: row.output_shape for row in validate_config(cfg)}
-    assert trace.entries[0][0] == 0  # normalization first
-    assert trace.normalized_input.shape == cfg.input_shape
     for idx, tensor in trace.conv_entries:
         assert tensor.shape == table[idx]
     assert [idx for idx, _ in trace.conv_entries] == cfg.conv_indices()
@@ -99,7 +96,7 @@ def test_forward_is_pure_and_deterministic():
     out1, tr1 = forward(cfg, ws, img)
     out2, tr2 = forward(cfg, ws, img)
     assert out1.inverse_turning_radius == out2.inverse_turning_radius
-    for (i1, t1), (i2, t2) in zip(tr1.entries, tr2.entries):
+    for (i1, t1), (i2, t2) in zip(tr1.conv_entries, tr2.conv_entries):
         assert i1 == i2
         np.testing.assert_array_equal(t1.data, t2.data)
     np.testing.assert_array_equal(img.data, before)
@@ -413,14 +410,14 @@ def test_forward_conv_maps_equal_batched_kernel_rows(n, whole_stack, monkeypatch
     for cfg, ws in _contract_nets():
         x = np.random.default_rng(n).uniform(0.0, 255.0, (n,) + cfg.input_shape).astype(np.float32)
         outputs = []
-        kernel = network._conv_forward_batch
+        kernel = tensor.conv2d_nhwc
 
         def recording(*args):
             z, cols = kernel(*args)
             outputs.append(z.copy())
             return z, cols
 
-        monkeypatch.setattr(network, "_conv_forward_batch", recording)
+        monkeypatch.setattr(tensor, "conv2d_nhwc", recording)
         if whole_stack:
             monkeypatch.setattr(network, "MICRO_BATCH", n)
         preds = forward_batch(cfg, ws, x)
@@ -437,6 +434,24 @@ def test_forward_conv_maps_equal_batched_kernel_rows(n, whole_stack, monkeypatch
                 if cfg.layers[i].activation == "relu":
                     z = np.maximum(z, 0.0)
                 np.testing.assert_array_equal(t.data, z[k].transpose(2, 0, 1))
+
+
+def test_forward_is_one_run_batch_call_on_a_batch_of_one(monkeypatch):
+    """``forward`` has no layer loop of its own: it runs the frame as a batch
+    of one through ``_run_batch``, the loop ``forward_batch`` and the SGD
+    step use."""
+    cfg = toy_config()
+    ws = init_weights(cfg, seed=0)
+    calls = []
+    run_batch = network._run_batch
+
+    def recording(cfg, weights, x, want_cache):
+        calls.append(x.shape)
+        return run_batch(cfg, weights, x, want_cache)
+
+    monkeypatch.setattr(network, "_run_batch", recording)
+    forward(cfg, ws, random_image(cfg, np.random.default_rng(3)))
+    assert calls == [(1,) + cfg.input_shape]
 
 
 @pytest.mark.parametrize("with_normalization", [True, False], ids=["normalized", "raw"])

@@ -32,13 +32,9 @@ def two_conv_cfg():
     ))
 
 
-def hand_trace(cfg, conv_maps, image=None):
+def hand_trace(cfg, conv_maps):
     """Assemble a trace from explicit conv activation maps."""
-    if image is None:
-        image = zeros(*cfg.input_shape)
-    entries = [(-1, image)]
-    entries += list(zip(cfg.conv_indices(), conv_maps))
-    return ActivationTrace(tuple(entries))
+    return ActivationTrace(tuple(zip(cfg.conv_indices(), conv_maps)))
 
 
 # --- hand examples ----------------------------------------------------------
@@ -148,10 +144,9 @@ def test_mask_scale_invariance():
     _, trace = forward(cfg, ws, img)
     base, _ = compute_mask(trace, cfg)
     for lam in (0.1, 3.0, 10.0):
-        scaled_entries = [trace.entries[0]] + [
+        scaled = ActivationTrace(tuple(
             (i, Tensor(t.data * np.float32(lam))) for i, t in trace.conv_entries
-        ]
-        scaled = ActivationTrace(tuple(scaled_entries))
+        ))
         mask, _ = compute_mask(scaled, cfg)
         np.testing.assert_allclose(mask.data, base.data, atol=1e-6)
 
@@ -174,7 +169,7 @@ def test_trace_mismatch_missing_layer():
 
 def test_trace_mismatch_no_conv_layers():
     cfg = NetworkConfig(1, 2, 2, (fc_layer(1, activation="none"),))
-    trace = ActivationTrace(((-1, zeros(1, 2, 2)),))
+    trace = ActivationTrace(())
     with pytest.raises(TraceMismatchError):
         compute_mask(trace, cfg)
 

@@ -19,6 +19,17 @@ def zeros(*shape):
     return Tensor(np.zeros(shape, dtype=np.float32))
 
 
+def nhwc_zeros(c, h, w):
+    """One all-zero frame as the (1, H, W, C) batch ``conv2d`` takes."""
+    return np.zeros((1, h, w, c), dtype=np.float32)
+
+
+def conv_chw(x, weights, g, bias):
+    """``conv2d`` on one (C, H, W) array, returning its (Co, Ho, Wo) output."""
+    y, _ = conv2d(x.transpose(1, 2, 0)[np.newaxis], weights, g, bias)
+    return y[0].transpose(2, 0, 1)
+
+
 def geom(k, s, cin=1, cout=1):
     return ConvGeometry(kernel_h=k, kernel_w=k, stride_h=s, stride_w=s,
                         in_channels=cin, out_channels=cout)
@@ -59,18 +70,18 @@ def test_tensor_shape_accessors():
 
 def test_conv_one_by_one():
     # 1x1 input, 1x1 kernel: plain scalar product 2 * 3 = 6
-    t = Tensor(np.array([[[2.0]]], dtype=np.float32))
-    out = conv2d(t, np.array([3.0]), geom(1, 1), np.array([0.0]))
-    assert out.shape == (1, 1, 1)
-    assert out.data[0, 0, 0] == pytest.approx(6.0)
+    x = np.array([[[[2.0]]]], dtype=np.float32)
+    out, cols = conv2d(x, np.array([3.0]), geom(1, 1), np.array([0.0]))
+    assert out.shape == (1, 1, 1, 1)
+    assert out[0, 0, 0, 0] == pytest.approx(6.0)
+    assert cols.shape == (1, 1)
 
 
 def test_conv_bias_added_per_channel():
-    t = zeros(1, 3, 3)
     g = geom(3, 1, cin=1, cout=2)
-    out = conv2d(t, np.zeros(g.weight_count()), g, np.array([1.5, -2.0]))
-    assert out.data[0, 0, 0] == pytest.approx(1.5)
-    assert out.data[1, 0, 0] == pytest.approx(-2.0)
+    out, _ = conv2d(nhwc_zeros(1, 3, 3), np.zeros(g.weight_count()), g, np.array([1.5, -2.0]))
+    assert out[0, 0, 0, 0] == pytest.approx(1.5)
+    assert out[0, 0, 0, 1] == pytest.approx(-2.0)
 
 
 def test_conv_output_hw_floor_division():
@@ -84,19 +95,26 @@ def test_conv_kernel_larger_than_input_raises():
     with pytest.raises(ShapeError):
         geom(5, 1).output_hw(4, 10)
     with pytest.raises(ShapeError):
-        conv2d(zeros(1, 4, 4), np.ones(25), geom(5, 1), np.zeros(1))
+        conv2d(nhwc_zeros(1, 4, 4), np.ones(25), geom(5, 1), np.zeros(1))
 
 
 def test_conv_channel_mismatch_raises():
     with pytest.raises(ShapeError):
-        conv2d(zeros(2, 4, 4), np.ones(9), geom(3, 1, cin=1), np.zeros(1))
+        conv2d(nhwc_zeros(2, 4, 4), np.ones(9), geom(3, 1, cin=1), np.zeros(1))
+
+
+def test_conv_rejects_non_batch_rank():
+    # a single (H, W, C) frame or a 5-d array is not an NHWC batch
+    for shape in ((4, 4, 1), (1, 1, 4, 4, 1)):
+        with pytest.raises(ShapeError):
+            conv2d(np.zeros(shape, dtype=np.float32), np.ones(9), geom(3, 1), np.zeros(1))
 
 
 def test_conv_weight_and_bias_length_checked():
     with pytest.raises(ShapeError):
-        conv2d(zeros(1, 4, 4), np.ones(8), geom(3, 1), np.zeros(1))
+        conv2d(nhwc_zeros(1, 4, 4), np.ones(8), geom(3, 1), np.zeros(1))
     with pytest.raises(ShapeError):
-        conv2d(zeros(1, 4, 4), np.ones(9), geom(3, 1), np.zeros(2))
+        conv2d(nhwc_zeros(1, 4, 4), np.ones(9), geom(3, 1), np.zeros(2))
 
 
 @given(st.data())
@@ -115,7 +133,7 @@ def test_conv_matches_loop_oracle(data):
     wts = rng.standard_normal(g.weight_count()).astype(np.float32)
     b = rng.standard_normal(cout).astype(np.float32)
 
-    got = conv2d(Tensor(x), wts, g, b).data
+    got = conv_chw(x, wts, g, b)
     want = conv2d_loops(x.astype(np.float64), wts.reshape(cout, cin, k, k).astype(np.float64),
                         b.astype(np.float64), s, s)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
@@ -131,7 +149,7 @@ def top_mask_level(x):
         conv_layer(c, kernel=1, stride=1, in_channels=1),
         fc_layer(1, activation="none"),
     ))
-    trace = ActivationTrace(((-1, zeros(1, h, w)), (0, Tensor(x))))
+    trace = ActivationTrace(((0, Tensor(x)),))
     return compute_mask(trace, cfg)[1].masks[-1]
 
 
@@ -227,9 +245,9 @@ def test_deconv_is_adjoint_of_unit_weight_conv(data):
     w = int(rng.integers(k, k + 5))
     g = geom(k, s)
     x = rng.standard_normal((1, h, w)).astype(np.float32)
-    y = conv2d(Tensor(x), np.ones(k * k, dtype=np.float32), g, np.zeros(1, dtype=np.float32))
+    y = conv_chw(x, np.ones(k * k, dtype=np.float32), g, np.zeros(1, dtype=np.float32))
     r = rng.standard_normal(y.shape[1:]).astype(np.float32)
-    lhs = float(np.vdot(y.data[0].astype(np.float64), r.astype(np.float64)))
+    lhs = float(np.vdot(y[0].astype(np.float64), r.astype(np.float64)))
     back = deconv_upscale(r, g, h, w)
     rhs = float(np.vdot(x[0].astype(np.float64), back.astype(np.float64)))
     assert lhs == pytest.approx(rhs, rel=1e-4, abs=1e-4)

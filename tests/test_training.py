@@ -71,6 +71,7 @@ def test_train_config_zero_shift_range_allowed():
         {"augmentation_shift_range": -0.1},
         {"steering_correction_gain": 0.0},
         {"steering_correction_gain": -0.06},
+        {"seed": -1},
     ],
 )
 def test_train_config_rejects_bad_values(kwargs):
@@ -226,6 +227,8 @@ def test_generate_dataset_validates_arguments():
         generate_dataset(-1)
     with pytest.raises(ValueError):
         generate_dataset(2, style="watercolor")
+    with pytest.raises(ValueError, match="seed"):
+        generate_dataset(2, seed=-1)
 
 
 def test_generate_dataset_custom_size():
