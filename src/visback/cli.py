@@ -67,11 +67,11 @@ def _write_manifest(target: Path, subcommand: str, *, config_path=None, weight_p
     atomic_write_text(target, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_network_config(name_or_path: str) -> tuple[NetworkConfig, str]:
+def _load_network_config(name_or_path: str) -> NetworkConfig:
     """A --config value is either a built-in name or a JSON file path."""
     if name_or_path in BUILTIN_CONFIGS:
-        return BUILTIN_CONFIGS[name_or_path](), name_or_path
-    return load_config(name_or_path), name_or_path
+        return BUILTIN_CONFIGS[name_or_path]()
+    return load_config(name_or_path)
 
 
 def _read_input_image(path, cfg: NetworkConfig) -> tuple[np.ndarray, Tensor]:
@@ -109,7 +109,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, config_name = _load_network_config(args.config)
+    cfg = _load_network_config(args.config)
     dataset = FrameDataset.load(args.data)
     overrides = {
         "learning_rate": args.lr,
@@ -132,7 +132,7 @@ def cmd_train(args) -> int:
     atomic_write_text(loss_log, "epoch,loss\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(losses)))
     _write_manifest(
         out.with_name(out.name + ".manifest.json"), "train",
-        config_path=config_name, weight_path=out, seed=tc.seed, out_dir=out.parent,
+        config_path=args.config, weight_path=out, seed=tc.seed, out_dir=out.parent,
         outputs=[out.name, loss_log.name],
     )
     for i, v in enumerate(losses):

@@ -295,8 +295,8 @@ def load_config(path) -> NetworkConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
     return config_from_dict(d)
 
 

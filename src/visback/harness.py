@@ -119,12 +119,15 @@ def dilate(binary: np.ndarray, radius: int) -> np.ndarray:
 
     Takes and returns an (H, W) bool map. Separable: a horizontal 1-D
     dilation followed by a vertical one is exactly the square-window dilation.
+    A radius of max(H, W) already spreads any True pixel over the whole map,
+    so larger radii are clamped to it and cost no more memory or time.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     _check_bool_map(binary, "dilate's input")
     if radius == 0:
         return binary
+    radius = min(radius, max(binary.shape))
     return _dilate_axis(_dilate_axis(binary, radius, axis=1), radius, axis=0)
 
 

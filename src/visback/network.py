@@ -2,11 +2,14 @@
 
 One layer loop, ``_run_batch``, runs every forward: it takes (N, C, H, W)
 batches, checks and scales them with ``normalize_input``, runs each conv
-through ``tensor.conv2d`` and the FC layers through ``_fc_head``. Conv
-activations stay NHWC, (N, H, W, C) in C order, so a conv's GEMM output
-(N*Ho*Wo, Co) already is the next layer's input and its gradient needs no
-transpose. The last conv map is flattened in (C, H, W) order for the FC
-weights.
+through ``tensor.conv2d`` and each FC layer as one matrix-vector product per
+frame. Conv activations stay NHWC, (N, H, W, C) in C order, so a conv's GEMM
+output (N*Ho*Wo, Co) already is the next layer's input and its gradient needs
+no transpose. The last conv map is flattened in (C, H, W) order for the FC
+weights. When asked, the loop keeps one record per conv and FC layer:
+(layer index, input, post-activation output, im2col matrix or None). The
+backward reads everything else off those records: the ReLU mask is
+``output > 0`` and the conv input size is the input's shape.
 
 * ``forward`` runs one image as a batch of one and returns, with the
   prediction, the post-activation map of every conv layer as a (C, H, W)
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
-from .config import ConfigError, LayerSpec, NetworkConfig
+from .config import ConfigError, NetworkConfig
 from .tensor import ConvGeometry, ShapeError, Tensor, nhwc_kernel
 from .tensor import conv2d_nhwc as _conv_forward_batch  # noqa: F401  bench/layers.py hooks this name
 from .weights import WeightSet
@@ -91,34 +94,10 @@ def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[Stee
     """Run one image through the network; returns the steering value and the trace."""
     x = image.data[np.newaxis]
     _check_batch(cfg, weights, x)
-    pred, cache = _run_batch(cfg, weights, x, want_cache=True)
-    # a conv entry ends with the layer's post-activation NHWC output
-    maps = tuple((e[1], Tensor._wrap(np.ascontiguousarray(e[-1][0].transpose(2, 0, 1))))
-                 for e in cache if e[0] == "conv")
+    pred, records = _run_batch(cfg, weights, x, want_cache=True)
+    maps = tuple((i, Tensor._wrap(np.ascontiguousarray(out[0].transpose(2, 0, 1))))
+                 for i, _, out, _ in records if cfg.layers[i].kind == "conv")
     return SteeringOutput(float(pred[0])), ActivationTrace(maps)
-
-
-def _fc_head(cfg: NetworkConfig, weights: WeightSet, a: np.ndarray, start: int, cache: list | None = None):
-    """Run the FC layers ``cfg.layers[start:]`` on (N, D) rows, one matrix-vector
-    product per row so that no row depends on the others (an (N, D) GEMM lets
-    BLAS block by N). Appends each layer's input rows and ReLU mask to ``cache`` if given."""
-    for i in range(start, len(cfg.layers)):
-        w2 = weights.weight(i).reshape(cfg.layers[i].units, -1)
-        z = (a[:, np.newaxis] @ w2.T)[:, 0] + weights.bias(i)
-        mask = _activate(z, cfg.layers[i])
-        if cache is not None:
-            cache.append(("fc", i, a, mask))
-        a = z
-    return a
-
-
-def _activate(z: np.ndarray, layer: LayerSpec) -> np.ndarray | None:
-    """Apply ``layer``'s activation to ``z`` in place; returns its ReLU mask, or None."""
-    if layer.activation != "relu":
-        return None
-    mask = z > 0
-    np.maximum(z, np.float32(0.0), out=z)
-    return mask
 
 
 MICRO_BATCH = 4  # frames per forward/backward chunk; chosen by a sweep over {1, 2, 4, 8, 16}
@@ -158,29 +137,35 @@ def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, i
 
 
 def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache: bool):
-    """Forward one micro-batch, (N, C, H, W) float32; optionally keep what backward
-    needs, with each conv layer's post-activation NHWC output.
+    """Forward one micro-batch, (N, C, H, W) float32; returns the (N,)
+    predictions and, if ``want_cache``, one record per conv and FC layer:
+    (layer index, input, post-activation output, im2col matrix or None).
 
     Conv activations are NHWC. A batch whose memory already is NHWC, such as
     the view ``training._to_yuv_batch`` returns, enters without a copy, so it
-    must not be written to.
+    must not be written to. An FC layer runs one matrix-vector product per
+    row, so that no row depends on the others (an (N, D) GEMM lets BLAS
+    block by N).
     """
     a = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float32)
-    cache: list[tuple] | None = [] if want_cache else None
+    records: list[tuple] | None = [] if want_cache else None
     for i, layer in enumerate(cfg.layers):
         if layer.kind == "normalization":
             a = normalize_input(a)
-        elif layer.kind == "conv":
-            z, cols = tc.conv2d(a, weights.weight(i), layer.geometry, weights.bias(i))
-            mask = _activate(z, layer)
-            if cache is not None:
-                cache.append(("conv", i, cols, mask, a.shape[1:3], z))
-            a = z
+            continue
+        if layer.kind == "conv":
+            out, cols = tc.conv2d(a, weights.weight(i), layer.geometry, weights.bias(i))
         else:
-            break
-    # the FC weights read the last map in (C, H, W) order
-    a = _fc_head(cfg, weights, a.transpose(0, 3, 1, 2).reshape(a.shape[0], -1), i, cache)
-    return a.reshape(-1), cache
+            if a.ndim == 4:  # the FC weights read the last map in (C, H, W) order
+                a = a.transpose(0, 3, 1, 2).reshape(a.shape[0], -1)
+            w2 = weights.weight(i).reshape(layer.units, -1)
+            out, cols = (a[:, np.newaxis] @ w2.T)[:, 0] + weights.bias(i), None
+        if layer.activation == "relu":
+            np.maximum(out, np.float32(0.0), out=out)
+        if records is not None:
+            records.append((i, a, out, cols))
+        a = out
+    return a.reshape(-1), records
 
 
 def forward_batch(cfg: NetworkConfig, weights: WeightSet, images: np.ndarray) -> np.ndarray:
@@ -235,38 +220,33 @@ def _chunk_loss_and_grads(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
     errors and its parameter gradients, with ``scale`` (2 / whole-batch N)
     as the loss gradient per unit of prediction error."""
     n = x.shape[0]
-    preds, cache = _run_batch(cfg, weights, x, want_cache=True)
+    preds, records = _run_batch(cfg, weights, x, want_cache=True)
     diff = preds - targets.astype(np.float32)
     sq = float(np.sum(diff.astype(np.float64) ** 2))
 
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     upstream = (scale * diff).reshape(n, 1)  # d loss / d last-layer output
-    for k in range(len(cache) - 1, -1, -1):
-        entry = cache[k]
-        if entry[0] == "fc":
-            _, i, a_in, mask = entry
-            layer = cfg.layers[i]
-            if mask is not None:
-                upstream = np.where(mask, upstream, np.float32(0.0))
+    for k in range(len(records) - 1, -1, -1):
+        i, a_in, out, cols = records[k]
+        layer = cfg.layers[i]
+        if upstream.ndim < out.ndim:  # from the FC head: (C, H, W) flatten order back to NHWC
+            upstream = upstream.reshape(out.transpose(0, 3, 1, 2).shape).transpose(0, 2, 3, 1)
+        if layer.activation == "relu":  # max(z, 0) > 0 exactly where z > 0, NaN included
+            upstream = np.where(out > 0, upstream, np.float32(0.0))
+        if cols is None:
             dw = upstream.T @ a_in  # (units, D)
             db = upstream.sum(axis=0)
             grads[i] = (dw.reshape(-1).astype(np.float32), db.astype(np.float32))
-            w2 = weights.weight(i).reshape(layer.units, -1)
-            upstream = upstream @ w2  # (N, D)
-            if k > 0 and cache[k - 1][0] == "conv":  # (C, H, W) flatten order back to NHWC
-                z = cache[k - 1][-1]
-                upstream = upstream.reshape(z.transpose(0, 3, 1, 2).shape).transpose(0, 2, 3, 1)
-        elif entry[0] == "conv":
-            _, i, cols, mask, in_hw, z = entry
-            g = cfg.layers[i].geometry
-            if mask is not None:
-                upstream = np.where(mask, upstream, np.float32(0.0))
-            dyr = upstream.reshape(-1, g.out_channels)  # NHWC rows: (N*Ho*Wo, Co)
-            dw = (dyr.T @ cols).reshape(g.out_channels, g.kernel_h, g.kernel_w, g.in_channels)
-            db = dyr.sum(axis=0)
-            grads[i] = (dw.transpose(0, 3, 1, 2).reshape(-1).astype(np.float32), db.astype(np.float32))
-            if k > 0:  # the first layer's input (the image) needs no gradient
-                upstream = _conv_input_grad(dyr, nhwc_kernel(weights.weight(i), g), g, n, in_hw, z.shape[1:3])
+            upstream = upstream @ weights.weight(i).reshape(layer.units, -1)  # (N, D)
+            continue
+        g = layer.geometry
+        dyr = upstream.reshape(-1, g.out_channels)  # NHWC rows: (N*Ho*Wo, Co)
+        dw = (dyr.T @ cols).reshape(g.out_channels, g.kernel_h, g.kernel_w, g.in_channels)
+        db = dyr.sum(axis=0)
+        grads[i] = (dw.transpose(0, 3, 1, 2).reshape(-1).astype(np.float32), db.astype(np.float32))
+        if k > 0:  # the first layer's input (the image) needs no gradient
+            upstream = _conv_input_grad(dyr, nhwc_kernel(weights.weight(i), g), g, n,
+                                        a_in.shape[1:3], out.shape[1:3])
     return sq, grads
 
 

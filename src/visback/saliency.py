@@ -90,7 +90,7 @@ def compute_mask(trace: ActivationTrace, cfg: NetworkConfig) -> tuple[Visualizat
     input never multiplies into the chain.
     """
     shapes = validate_config(cfg)
-    conv_indices = [i for i, layer in enumerate(cfg.layers) if layer.kind == "conv"]
+    conv_indices = cfg.conv_indices()
     if not conv_indices:
         raise TraceMismatchError("config has no conv layers to backproject")
 

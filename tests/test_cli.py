@@ -74,16 +74,31 @@ def test_version_flag(capsys):
     assert visback.__version__ in out
 
 
-def test_console_script_is_installed():
-    # the subprocess finds the package in an uninstalled checkout too
+def _env_with_src() -> dict:
+    """The environment with ``src/`` first on PYTHONPATH, so a subprocess finds
+    the package in an uninstalled checkout too."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_console_script_is_installed():
+    env = _env_with_src()
     proc = subprocess.run([sys.executable, "-m", "visback", "--version"],
                           capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         proc = subprocess.run(["visback", "--version"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert visback.__version__ in proc.stdout
+
+
+def test_run_pipeline_script_smoke(tmp_path):
+    """The README's quick-start script runs gen, train, explain and shift end to end."""
+    script = SRC.parent / "scripts" / "run_pipeline.py"
+    proc = subprocess.run([sys.executable, str(script), "--scenes", "8", "--epochs", "1", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=_env_with_src(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "explain" / "mask.msk").is_file()
+    assert (tmp_path / "shift" / "summary.json").is_file()
 
 
 # ------------------------------------------------------------------------ gen

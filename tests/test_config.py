@@ -169,6 +169,13 @@ def test_load_config_rejects_bad_json(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with a byte-order mark
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(path)
+
+
 def test_config_from_dict_rejects_malformed():
     with pytest.raises(ConfigError):
         config_from_dict({"layers": [{"kind": "conv"}]})

@@ -1,6 +1,7 @@
 """Shift-experiment machinery: thresholding, dilation, per-class translation,
 line fitting, and the experiment driver."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,21 @@ def test_dilate_monotone_and_composes(seed, ra, rb):
     once = dilate(m, ra)
     assert np.all(once >= m)  # dilation only grows the set
     np.testing.assert_array_equal(dilate(once, rb), dilate(m, ra + rb))
+
+
+@pytest.mark.parametrize("cells", [[[0, 0, 0], [0, 1, 0]], [[0, 0, 0], [0, 0, 0]], [[1], [0], [0], [0]]])
+def test_dilate_huge_radius_is_clamped_to_the_map(cells):
+    m = np.array(cells, dtype=bool)
+    reach = max(m.shape)
+    tracemalloc.start()
+    try:
+        out = dilate(m, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    np.testing.assert_array_equal(out, dilate(m, reach))
+    np.testing.assert_array_equal(out, dilate_loops(m, reach))
 
 
 def test_dilate_rejects_nonbinary_and_negative_radius():

@@ -246,13 +246,15 @@ def test_backward_matches_finite_differences():
     assert checked >= 3
 
 
-def test_backward_matches_float64_loop_oracle():
+@pytest.mark.parametrize("hidden", ["relu", "none"])
+def test_backward_matches_float64_loop_oracle(hidden):
     """One fully independent check: finite differences of a straight-loop
-    float64 reimplementation, no shared code with the package."""
+    float64 reimplementation, no shared code with the package. The hidden
+    conv and FC layers run with and without ReLU."""
     cfg = NetworkConfig(2, 6, 7, (
         LayerSpec(kind="normalization"),
-        conv_layer(2, kernel=3, stride=2, in_channels=2),
-        fc_layer(3),
+        conv_layer(2, kernel=3, stride=2, in_channels=2, activation=hidden),
+        fc_layer(3, activation=hidden),
         fc_layer(1, activation="none"),
     ))
     rng = np.random.default_rng(23)
