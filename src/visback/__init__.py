@@ -6,14 +6,13 @@ __version__ = "0.1.0"
 
 from .config import NetworkConfig, default_config, load_config, save_config, toy_config, validate_config
 from .network import ActivationTrace, SteeringOutput, forward
-from .saliency import MaskTrace, VisualizationMask, compute_mask, overlay
+from .saliency import VisualizationMask, compute_mask, overlay
 from .tensor import ConvGeometry, ShapeError, Tensor
 from .weights import WeightSet, init_weights, load_weights, save_weights
 
 __all__ = [
     "ActivationTrace",
     "ConvGeometry",
-    "MaskTrace",
     "NetworkConfig",
     "ShapeError",
     "SteeringOutput",

@@ -109,20 +109,19 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_network_config(args.config)
-    dataset = FrameDataset.load(args.data)
     overrides = {
         "learning_rate": args.lr,
         "batch_size": args.batch_size,
         "epochs": args.epochs,
         "seed": args.seed,
         "augmentation_shift_range": args.shift_range,
-        "steering_correction_gain": args.correction_gain,
     }
     try:
         tc = TrainConfig(**{k: v for k, v in overrides.items() if v is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    cfg = _load_network_config(args.config)
+    dataset = FrameDataset.load(args.data)
 
     weights, losses = training.train(cfg, tc, dataset)
 
@@ -152,7 +151,7 @@ def cmd_explain(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     steering, trace = forward(cfg, weights, image)
-    mask, mask_trace = saliency.compute_mask(trace, cfg)
+    mask, levels = saliency.compute_mask(trace, cfg)
 
     imageio.write_pgm(out_dir / "mask.pgm", saliency.mask_to_gray(mask))
     imageio.write_mask_dump(out_dir / "mask.msk", mask)
@@ -161,7 +160,7 @@ def cmd_explain(args) -> int:
 
     outputs = ["mask.pgm", "mask.msk", "overlay.ppm"]
     if args.mask_trace:
-        for level, inter in enumerate(mask_trace.masks):
+        for level, inter in enumerate(levels):
             name = f"mask_level_{level}.pgm"
             level_mask = saliency.VisualizationMask(saliency.normalize_01(inter))
             imageio.write_pgm(out_dir / name, saliency.mask_to_gray(level_mask))
@@ -208,8 +207,8 @@ def cmd_shift(args) -> int:
 
     _, trace = forward(cfg, weights, image)
     mask, _ = saliency.compute_mask(trace, cfg)
-    seg = harness.segment(mask, t=args.threshold, radius=radius)
-    result = harness.run_shift_experiment(cfg, weights, image, seg, shifts)
+    class1 = harness.segment(mask, t=args.threshold, radius=radius)
+    result = harness.run_shift_experiment(cfg, weights, image, class1, shifts)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--epochs", type=int, default=None)
     tr.add_argument("--seed", type=int, default=None)
     tr.add_argument("--shift-range", type=float, default=None, help="augmentation shift range, meters")
-    tr.add_argument("--correction-gain", type=float, default=None, help="label correction per meter")
     tr.add_argument("--loss-log", default=None, help="loss CSV path (default <out>.losses.csv)")
     tr.set_defaults(func=cmd_train)
 

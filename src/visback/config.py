@@ -242,21 +242,28 @@ def config_to_dict(cfg: NetworkConfig) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer as is; a float, bool or string is refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(d: dict) -> NetworkConfig:
     try:
         layers = []
-        for entry in d["layers"]:
+        for i, entry in enumerate(d["layers"]):
             kind = entry["kind"]
             if kind == "conv":
-                kh, kw = entry["kernel"]
-                sh, sw = entry["stride"]
+                kh, kw = (_json_int(v, f"layer {i} kernel") for v in entry["kernel"])
+                sh, sw = (_json_int(v, f"layer {i} stride") for v in entry["stride"])
                 geom = ConvGeometry(
-                    kernel_h=int(kh),
-                    kernel_w=int(kw),
-                    stride_h=int(sh),
-                    stride_w=int(sw),
-                    in_channels=int(entry["in_channels"]),
-                    out_channels=int(entry["out_channels"]),
+                    kernel_h=kh,
+                    kernel_w=kw,
+                    stride_h=sh,
+                    stride_w=sw,
+                    in_channels=_json_int(entry["in_channels"], f"layer {i} in_channels"),
+                    out_channels=_json_int(entry["out_channels"], f"layer {i} out_channels"),
                 )
                 layers.append(LayerSpec(kind="conv", geometry=geom, activation=entry.get("activation", "none")))
             elif kind == "fully_connected":
@@ -264,8 +271,8 @@ def config_from_dict(d: dict) -> NetworkConfig:
                 layers.append(
                     LayerSpec(
                         kind="fully_connected",
-                        units=int(entry["units"]),
-                        in_features=None if in_features is None else int(in_features),
+                        units=_json_int(entry["units"], f"layer {i} units"),
+                        in_features=None if in_features is None else _json_int(in_features, f"layer {i} in_features"),
                         activation=entry.get("activation", "none"),
                     )
                 )
@@ -274,9 +281,9 @@ def config_from_dict(d: dict) -> NetworkConfig:
             else:
                 raise ConfigError(f"unknown layer kind {kind!r}")
         return NetworkConfig(
-            input_channels=int(d["input_channels"]),
-            input_height=int(d["input_height"]),
-            input_width=int(d["input_width"]),
+            input_channels=_json_int(d["input_channels"], "input_channels"),
+            input_height=_json_int(d["input_height"], "input_height"),
+            input_width=_json_int(d["input_width"], "input_width"),
             layers=tuple(layers),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -8,13 +8,16 @@ an ordinary least-squares line is fitted per series. If the mask really marks
 what steers the car, the Class 1 slope should carry most of the full-frame
 slope and Class 2 should be comparatively flat.
 
-The class maps are read-only (H, W) bool arrays; the frames that get shifted
-and scored stay (C, H, W) ``Tensor``s, the network's input type.
+The Class-1 map is a plain (H, W) bool array, so any map — the segmented
+mask or a control with no threshold and no radius — can be shifted; Class 2 is
+its complement. The frames that get shifted and scored stay (C, H, W)
+``Tensor``s, the network's input type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,35 +40,6 @@ def scaled_dilation_radius(width: int, base_radius: int = DEFAULT_DILATION_RADIU
 
 
 @dataclass(frozen=True)
-class ClassSegmentation:
-    """Class 1 = salient pixels (thresholded mask, dilated); Class 2 = the rest."""
-
-    class1: np.ndarray  # read-only (H, W) bool
-    threshold: float
-    dilation_radius: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.dilation_radius < 0:
-            raise ValueError(f"dilation radius must be >= 0, got {self.dilation_radius}")
-        _check_bool_map(self.class1, "class mask")
-        class1 = self.class1.copy()
-        class1.flags.writeable = False
-        object.__setattr__(self, "class1", class1)
-
-    @property
-    def class2(self) -> np.ndarray:
-        """The complement mask: every pixel not in Class 1."""
-        return ~self.class1
-
-    @property
-    def class1_fraction(self) -> float:
-        """Share of the frame's pixels in Class 1, in [0, 1]."""
-        return np.count_nonzero(self.class1) / self.class1.size
-
-
-@dataclass(frozen=True)
 class LineFit:
     slope: float
     intercept: float
@@ -80,16 +54,14 @@ class ShiftExperimentResult:
     steer_class1: tuple[float, ...]
     steer_class2: tuple[float, ...]
     steer_all: tuple[float, ...]
-    fit_class1: LineFit
-    fit_class2: LineFit
-    fit_all: LineFit
+    fits: tuple[LineFit, ...]  # one least-squares line per mode, in MODES order
     class1_fraction: float  # share of the frame's pixels in Class 1
 
     def series(self, mode: str) -> tuple[float, ...]:
         return {"class1": self.steer_class1, "class2": self.steer_class2, "all": self.steer_all}[mode]
 
     def fit(self, mode: str) -> LineFit:
-        return {"class1": self.fit_class1, "class2": self.fit_class2, "all": self.fit_all}[mode]
+        return self.fits[MODES.index(mode)]
 
 
 def _check_bool_map(m: np.ndarray, what: str) -> None:
@@ -132,23 +104,34 @@ def dilate(binary: np.ndarray, radius: int) -> np.ndarray:
 
 
 def segment(mask: VisualizationMask, t: float = DEFAULT_THRESHOLD,
-            radius: int = DEFAULT_DILATION_RADIUS) -> ClassSegmentation:
-    """Threshold the mask, dilate the result, package both classes."""
-    return ClassSegmentation(dilate(threshold_mask(mask, t), radius), t, radius)
+            radius: int = DEFAULT_DILATION_RADIUS) -> np.ndarray:
+    """The Class-1 map: the mask thresholded at t, then dilated by radius.
+
+    Returns a read-only (H, W) bool array; Class 2 is its complement.
+    """
+    class1 = dilate(threshold_mask(mask, t), radius)
+    class1.flags.writeable = False
+    return class1
 
 
-def shift_class(image: Tensor, seg: ClassSegmentation, which: str, dx: int) -> Tensor:
+def _check_class_map(class1: np.ndarray, image: Tensor) -> None:
+    _check_bool_map(class1, "class map")
+    if class1.shape != (image.height, image.width):
+        raise ShapeError(f"class map size {class1.shape} != image size {(image.height, image.width)}")
+
+
+def shift_class(image: Tensor, class1: np.ndarray, which: str, dx: int) -> Tensor:
     """Translate one pixel class (or the whole frame) horizontally by dx.
 
-    Class shifts composite the moved pixels over the untouched frame: vacated
+    ``class1`` is the (H, W) bool Class-1 map; Class 2 is ``~class1``. Class
+    shifts composite the moved pixels over the untouched frame: vacated
     positions keep the original pixel values and pixels pushed past the border
     are dropped. A full-frame shift replicates the edge column into the gap.
     """
     if which not in MODES:
         raise ValueError(f"which must be one of {MODES}, got {which!r}")
-    h, w = image.height, image.width
-    if seg.class1.shape != (h, w):
-        raise ShapeError(f"segmentation size {seg.class1.shape} != image size {(h, w)}")
+    _check_class_map(class1, image)
+    w = image.width
     if abs(dx) >= w:
         raise ValueError(f"|dx| must be smaller than the image width {w}, got {dx}")
 
@@ -166,7 +149,7 @@ def shift_class(image: Tensor, seg: ClassSegmentation, which: str, dx: int) -> T
             out[:, :, w + dx :] = img[:, :, -1:]
         return Tensor._wrap(out)
 
-    region = seg.class1 if which == "class1" else seg.class2
+    region = class1 if which == "class1" else ~class1
     if dx > 0:
         dest, src = slice(dx, w), slice(0, w - dx)
     else:
@@ -202,16 +185,23 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> LineFit:
 
 
 def run_shift_experiment(cfg: NetworkConfig, weights: WeightSet, image: Tensor,
-                         seg: ClassSegmentation, shifts=DEFAULT_SHIFTS) -> ShiftExperimentResult:
-    """Evaluate steering for every (shift, mode) pair and fit a line per mode.
+                         class1: np.ndarray, shifts=DEFAULT_SHIFTS) -> ShiftExperimentResult:
+    """Evaluate steering for every (shift, mode) pair of the Class-1 map and
+    fit a line per mode.
 
     Rows come out in ascending shift order. The unperturbed frame runs through
     the per-frame ``network.forward``, the call ``explain`` makes, so the dx=0
     row of every series equals the explain prediction bit for bit. The shifted
     frames of each mode are stacked and scored by one ``network.forward_batch``,
     which is batch-invariant, so those rows equal per-frame forwards too. Raises
-    ``NonFiniteOutputError`` if any prediction is NaN or infinite.
+    ``NonFiniteOutputError`` if any prediction is NaN or infinite, and
+    ``ValueError`` for a shift that is not an integer.
     """
+    shifts = tuple(shifts)
+    for s in shifts:
+        if not isinstance(s, numbers.Integral):
+            raise ValueError(f"shifts must be integers, got {s!r}")
+    _check_class_map(class1, image)
     shift_list = sorted(set(int(s) for s in shifts))
     if 0 not in shift_list:
         raise ValueError("the shift list must include 0 (the unperturbed frame)")
@@ -224,7 +214,7 @@ def run_shift_experiment(cfg: NetworkConfig, weights: WeightSet, image: Tensor,
         # one mode at a time keeps a single stack of shifted frames alive
         stack = np.empty((len(moved),) + image.shape, dtype=np.float32)
         for k, dx in enumerate(moved):
-            stack[k] = shift_class(image, seg, mode, dx).data
+            stack[k] = shift_class(image, class1, mode, dx).data
         preds = network.forward_batch(cfg, weights, stack)
         bad = np.flatnonzero(~np.isfinite(preds))
         if bad.size:
@@ -234,16 +224,13 @@ def run_shift_experiment(cfg: NetworkConfig, weights: WeightSet, image: Tensor,
         by_mode[mode] = series
 
     xs = np.asarray(shift_list, dtype=np.float64)
-    fits = {mode: fit_line(xs, np.asarray(by_mode[mode])) for mode in MODES}
     return ShiftExperimentResult(
         shifts=tuple(shift_list),
         steer_class1=tuple(by_mode["class1"]),
         steer_class2=tuple(by_mode["class2"]),
         steer_all=tuple(by_mode["all"]),
-        fit_class1=fits["class1"],
-        fit_class2=fits["class2"],
-        fit_all=fits["all"],
-        class1_fraction=seg.class1_fraction,
+        fits=tuple(fit_line(xs, np.asarray(by_mode[mode])) for mode in MODES),
+        class1_fraction=np.count_nonzero(class1) / class1.size,
     )
 
 
@@ -274,12 +261,5 @@ def result_summary(result: ShiftExperimentResult) -> dict:
         "n_shifts": len(result.shifts),
         "shift_min": min(result.shifts),
         "shift_max": max(result.shifts),
-        "series": {
-            mode: {
-                "slope": result.fit(mode).slope,
-                "intercept": result.fit(mode).intercept,
-                "r_squared": result.fit(mode).r_squared,
-            }
-            for mode in MODES
-        },
+        "series": {mode: asdict(result.fit(mode)) for mode in MODES},
     }

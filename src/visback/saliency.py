@@ -11,6 +11,7 @@ product.
 
 The trace's conv maps arrive as (C, h, w) ``Tensor``s; from the channel mean
 on, every level, the mask and the overlay are plain numpy arrays.
+``compute_mask`` returns the mask with its levels as a tuple of (h, w) arrays.
 """
 
 from __future__ import annotations
@@ -53,25 +54,6 @@ class VisualizationMask:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
-class MaskTrace:
-    """Intermediate (h, w) mask per conv level, bottom (first conv) to top (deepest).
-
-    The top entry is that level's averaged map itself; each lower entry is
-    upscale(level above) * averaged(level), so sizes telescope down the stack
-    exactly along the feature-map sizes.
-    """
-
-    masks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not self.masks:
-            raise ValueError("mask trace cannot be empty")
-        for m in self.masks:
-            if m.ndim != 2:
-                raise ShapeError(f"intermediate masks must be (h, w) arrays, got shape {m.shape}")
-
-
 def normalize_01(a: np.ndarray) -> np.ndarray:
     """Rescale to [0, 1] by (x - min) / (max - min); a constant array maps to all zeros."""
     lo, hi = a.min(), a.max()
@@ -80,7 +62,7 @@ def normalize_01(a: np.ndarray) -> np.ndarray:
     return (a - lo) / (hi - lo)
 
 
-def compute_mask(trace: ActivationTrace, cfg: NetworkConfig) -> tuple[VisualizationMask, MaskTrace]:
+def compute_mask(trace: ActivationTrace, cfg: NetworkConfig) -> tuple[VisualizationMask, tuple[np.ndarray, ...]]:
     """Backproject a forward trace into an input-resolution salience mask.
 
     Walking top-down through the conv stack: average each level's channels,
@@ -88,6 +70,11 @@ def compute_mask(trace: ActivationTrace, cfg: NetworkConfig) -> tuple[Visualizat
     zero bias), multiply with the averaged map below, and finally upscale the
     bottom intermediate mask to input size and min-max normalize. The raw
     input never multiplies into the chain.
+
+    Returns the mask and its levels: one (h, w) float32 array per conv layer,
+    bottom (first conv) to top (deepest). The top level is that layer's
+    averaged map itself; each lower one is upscale(level above) * averaged(level),
+    so the level sizes are the conv feature-map sizes.
     """
     shapes = validate_config(cfg)
     conv_indices = cfg.conv_indices()
@@ -115,7 +102,7 @@ def compute_mask(trace: ActivationTrace, cfg: NetworkConfig) -> tuple[Visualizat
 
     first_geom = cfg.layers[conv_indices[0]].geometry
     projection = deconv_upscale(combined[0], first_geom, cfg.input_height, cfg.input_width)
-    return VisualizationMask(normalize_01(projection)), MaskTrace(tuple(combined))
+    return VisualizationMask(normalize_01(projection)), tuple(combined)
 
 
 def overlay(rgb: np.ndarray, mask: VisualizationMask, gain: float = 255.0) -> np.ndarray:

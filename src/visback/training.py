@@ -48,7 +48,6 @@ class TrainConfig:
     epochs: int = 30
     seed: int = 0
     augmentation_shift_range: float = 0.6   # meters; 0 disables augmentation
-    steering_correction_gain: float = scenes.OFFSET_GAIN  # 1/(m*m)
 
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
@@ -61,8 +60,6 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.augmentation_shift_range) and self.augmentation_shift_range >= 0.0):
             raise ValueError(f"augmentation_shift_range must be >= 0, got {self.augmentation_shift_range}")
-        if not (np.isfinite(self.steering_correction_gain) and self.steering_correction_gain > 0.0):
-            raise ValueError(f"steering_correction_gain must be > 0, got {self.steering_correction_gain}")
 
 
 def _to_yuv_batch(rgb_uint8: np.ndarray) -> np.ndarray:
@@ -193,15 +190,16 @@ def generate_dataset(n: int, style: str = "mixed", seed: int = 0,
     return FrameDataset(images, labels)
 
 
-def _augment_batch(imgs: np.ndarray, labels: np.ndarray, shifts: np.ndarray,
-                   gain: float) -> tuple[np.ndarray, np.ndarray]:
+def _augment_batch(imgs: np.ndarray, labels: np.ndarray,
+                   shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lateral viewpoint warp of a (B, H, W, 3) stack, one shift per frame,
-    with the labels re-aimed by ``gain * shift``."""
+    with the labels re-aimed by ``OFFSET_GAIN * shift``: the ground truth the
+    renderer gives the displaced camera position."""
     b, h, w = imgs.shape[:3]
     src = np.stack([scenes.lateral_source_columns(h, w, float(s)) for s in shifts])
     rows = np.arange(b * h, dtype=np.int64).reshape(b, h, 1) * w  # flat pixel index of each row start
     out = np.take(imgs.reshape(-1, 3), (rows + src).reshape(-1), axis=0)
-    return out.reshape(imgs.shape), (labels - gain * shifts).astype(np.float32)
+    return out.reshape(imgs.shape), (labels - scenes.OFFSET_GAIN * shifts).astype(np.float32)
 
 
 def train(cfg: NetworkConfig, tc: TrainConfig, dataset: FrameDataset) -> tuple[WeightSet, tuple[float, ...]]:
@@ -238,7 +236,7 @@ def train(cfg: NetworkConfig, tc: TrainConfig, dataset: FrameDataset) -> tuple[W
             labs = dataset.labels[idx]
             if tc.augmentation_shift_range > 0.0:
                 shifts = rng.uniform(-tc.augmentation_shift_range, tc.augmentation_shift_range, idx.size)
-                imgs, labs = _augment_batch(imgs, labs, shifts, tc.steering_correction_gain)
+                imgs, labs = _augment_batch(imgs, labs, shifts)
             x = _to_yuv_batch(imgs)
             loss, grads = network._loss_and_grads_batch(cfg, weights, x, labs)
             if not np.isfinite(loss):

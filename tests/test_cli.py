@@ -225,6 +225,26 @@ def test_train_unknown_config_path_is_data_error(workbench, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_train_flags_are_checked_before_any_file_is_read(tmp_path, capsys):
+    rc = main(["train", "--config", str(tmp_path / "missing.json"),
+               "--data", str(tmp_path / "missing"),
+               "--out", str(tmp_path / "x.pnw"), "--lr", "-1"])
+    assert rc == EXIT_USAGE
+    assert "learning_rate" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_non_integer_config_field_is_data_error(workbench, tmp_path, capsys):
+    cfg = json.loads((workbench["cfg_path"]).read_text())
+    cfg["layers"][1]["out_channels"] = 4.5
+    cfg_path = tmp_path / "frac.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["train", "--config", str(cfg_path), "--data", str(workbench["data_dir"]),
+               "--out", str(tmp_path / "x.pnw")])
+    assert rc == EXIT_DATA
+    assert "layer 1 out_channels must be an integer" in capsys.readouterr().err
+
+
 def test_train_divergence_is_numeric_error(workbench, tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["train", "--config", str(workbench["cfg_path"]),

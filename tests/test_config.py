@@ -184,3 +184,29 @@ def test_config_from_dict_rejects_malformed():
     with pytest.raises(ConfigError):
         config_from_dict({"input_channels": 3, "input_height": 4, "input_width": 4,
                           "layers": [{"kind": "mystery"}]})
+
+
+NON_INTEGER_FIELDS = [
+    (("layers", 1, "kernel"), [5.7, 5], "layer 1 kernel"),
+    (("layers", 1, "kernel"), [5, 5.0], "layer 1 kernel"),
+    (("layers", 2, "stride"), ["2", 2], "layer 2 stride"),
+    (("layers", 1, "out_channels"), 12.9, "layer 1 out_channels"),
+    (("layers", 2, "in_channels"), True, "layer 2 in_channels"),
+    (("layers", 4, "units"), 1.0, "layer 4 units"),
+    (("layers", 4, "in_features"), 5000.0, "layer 4 in_features"),
+    (("input_height",), True, "input_height"),
+    (("input_width",), "200", "input_width"),
+    (("input_channels",), 3.0, "input_channels"),
+]
+
+
+@pytest.mark.parametrize("path, value, field", NON_INTEGER_FIELDS,
+                         ids=[field.replace(" ", "_") for _, _, field in NON_INTEGER_FIELDS])
+def test_config_from_dict_accepts_only_json_integers(path, value, field):
+    d = json.loads(canonical_json(toy_config()))
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        config_from_dict(d)

@@ -17,7 +17,6 @@ from visback.harness import (
     CSV_HEADER,
     DEFAULT_SHIFTS,
     MODES,
-    ClassSegmentation,
     dilate,
     fit_line,
     result_summary,
@@ -42,10 +41,6 @@ def vmask(arr2d):
 
 def binary(arr2d):
     return np.asarray(arr2d) > 0.5
-
-
-def seg_from(arr2d, t=0.5, radius=0):
-    return ClassSegmentation(binary(arr2d), t, radius)
 
 
 # --- threshold --------------------------------------------------------------
@@ -144,25 +139,34 @@ def test_scaled_dilation_radius():
 
 def test_segment_combines_threshold_and_dilate():
     mask = vmask([[0.0, 0.9, 0.0, 0.0]])
-    s = segment(mask, t=0.5, radius=1)
-    np.testing.assert_array_equal(s.class1, [[True, True, True, False]])
-    np.testing.assert_array_equal(s.class2, [[False, False, False, True]])
+    class1 = segment(mask, t=0.5, radius=1)
+    np.testing.assert_array_equal(class1, [[True, True, True, False]])
+    np.testing.assert_array_equal(~class1, [[False, False, False, True]])
 
 
-def test_class_segmentation_validation():
+@pytest.mark.parametrize("radius", [0, 1])
+def test_segment_returns_read_only_bool_map(radius):
+    class1 = segment(vmask([[0.9, 0.0, 0.0]]), t=0.2, radius=radius)
+    assert class1.dtype == np.bool_ and class1.shape == (1, 3)
     with pytest.raises(ValueError):
-        ClassSegmentation(np.array([[0.25]]), 0.2, 1)
+        class1[0, 0] = False  # read-only
+
+
+def test_segment_rejects_bad_threshold_and_radius():
     with pytest.raises(ValueError):
-        ClassSegmentation(np.array([[1.0]], dtype=np.float32), 0.2, 1)
+        segment(vmask([[1.0]]), t=1.2, radius=1)
+    with pytest.raises(ValueError):
+        segment(vmask([[1.0]]), t=0.2, radius=-2)
+
+
+def test_shift_class_validates_class_map():
+    img = Tensor(np.zeros((1, 1, 2), dtype=np.float32))
+    with pytest.raises(ValueError):
+        shift_class(img, np.array([[0.25, 0.0]]), "class1", 1)
+    with pytest.raises(ValueError):
+        shift_class(img, np.array([[1.0, 0.0]], dtype=np.float32), "class1", 1)
     with pytest.raises(ShapeError):
-        ClassSegmentation(np.ones((1, 1, 1), dtype=bool), 0.2, 1)
-    s = ClassSegmentation(binary([[1.0, 0.0]]), 0.2, 1)
-    with pytest.raises(ValueError):
-        s.class1[0, 0] = False  # read-only
-    with pytest.raises(ValueError):
-        ClassSegmentation(binary([[1.0]]), 1.2, 1)
-    with pytest.raises(ValueError):
-        ClassSegmentation(binary([[1.0]]), 0.2, -2)
+        shift_class(img, np.ones((1, 1, 2), dtype=bool), "class1", 1)
 
 
 # --- shifting ----------------------------------------------------------------
@@ -170,7 +174,7 @@ def test_class_segmentation_validation():
 def test_shift_zero_is_bit_exact_in_every_mode():
     rng = np.random.default_rng(5)
     img = Tensor(rng.uniform(0, 255, (3, 4, 7)).astype(np.float32))
-    s = seg_from((rng.uniform(size=(4, 7)) > 0.5).astype(np.float32))
+    s = binary((rng.uniform(size=(4, 7)) > 0.5).astype(np.float32))
     for mode in MODES:
         out = shift_class(img, s, mode, 0)
         np.testing.assert_array_equal(out.data, img.data)
@@ -178,7 +182,7 @@ def test_shift_zero_is_bit_exact_in_every_mode():
 
 def test_shift_all_replicates_edge_columns():
     img = Tensor(np.arange(8, dtype=np.float32).reshape(1, 2, 4))
-    s = seg_from(np.zeros((2, 4), dtype=np.float32))
+    s = binary(np.zeros((2, 4), dtype=np.float32))
     right = shift_class(img, s, "all", 2)
     np.testing.assert_array_equal(right.data[0], [[0, 0, 0, 1], [4, 4, 4, 5]])
     left = shift_class(img, s, "all", -2)
@@ -190,7 +194,7 @@ def test_shift_all_replicates_edge_columns():
 def test_shift_all_matches_loop_oracle(seed, dx):
     rng = np.random.default_rng(seed)
     img = rng.uniform(0, 255, (2, 3, 6)).astype(np.float32)
-    s = seg_from(np.zeros((3, 6), dtype=np.float32))
+    s = binary(np.zeros((3, 6), dtype=np.float32))
     got = shift_class(Tensor(img), s, "all", dx).data
     want = shift_full_loops(img, dx)
     np.testing.assert_array_equal(got, want)
@@ -201,7 +205,7 @@ def test_shift_class1_moves_only_masked_pixels():
     img = Tensor(np.arange(6, dtype=np.float32).reshape(1, 1, 6))
     m = np.zeros((1, 6), dtype=np.float32)
     m[0, 1] = 1.0
-    s = seg_from(m)
+    s = binary(m)
     out = shift_class(img, s, "class1", 2)
     np.testing.assert_array_equal(out.data[0, 0], [0, 1, 2, 1, 4, 5])
 
@@ -210,7 +214,7 @@ def test_shift_class2_moves_complement():
     img = Tensor(np.arange(6, dtype=np.float32).reshape(1, 1, 6))
     m = np.ones((1, 6), dtype=np.float32)
     m[0, 1] = 0.0  # only column 1 is class 2
-    s = seg_from(m)
+    s = binary(m)
     out = shift_class(img, s, "class2", 2)
     np.testing.assert_array_equal(out.data[0, 0], [0, 1, 2, 1, 4, 5])
 
@@ -219,7 +223,7 @@ def test_shift_pixels_pushed_off_frame_are_dropped():
     img = Tensor(np.arange(4, dtype=np.float32).reshape(1, 1, 4))
     m = np.zeros((1, 4), dtype=np.float32)
     m[0, 3] = 1.0
-    s = seg_from(m)
+    s = binary(m)
     out = shift_class(img, s, "class1", 2)  # pixel 3 would land at 5: gone
     np.testing.assert_array_equal(out.data[0, 0], [0, 1, 2, 3])
 
@@ -230,7 +234,7 @@ def test_shift_class_composites_over_unmoved_frame():
     rng = np.random.default_rng(11)
     img = rng.uniform(0, 255, (1, 5, 9)).astype(np.float32)
     region = (rng.uniform(size=(5, 9)) > 0.6).astype(np.float32)
-    s = seg_from(region)
+    s = binary(region)
     dx = 3
     out = shift_class(Tensor(img), s, "class1", dx).data[0]
     want = img[0].copy()
@@ -241,7 +245,7 @@ def test_shift_class_composites_over_unmoved_frame():
 
 def test_shift_rejects_out_of_range_dx_and_bad_mode():
     img = Tensor(np.zeros((1, 2, 4), dtype=np.float32))
-    s = seg_from(np.zeros((2, 4), dtype=np.float32))
+    s = binary(np.zeros((2, 4), dtype=np.float32))
     with pytest.raises(ValueError):
         shift_class(img, s, "all", 4)
     with pytest.raises(ValueError):
@@ -313,6 +317,27 @@ def test_experiment_requires_zero_shift():
         run_shift_experiment(cfg, ws, img, s, shifts=[2, 4])
 
 
+def test_experiment_rejects_non_integer_shifts():
+    cfg, ws, img, s = tiny_net()
+    with pytest.raises(ValueError, match="integers"):
+        run_shift_experiment(cfg, ws, img, s, shifts=(-2.5, 0, 2.5))
+
+
+def test_experiment_accepts_numpy_integer_shifts():
+    cfg, ws, img, s = tiny_net()
+    res = run_shift_experiment(cfg, ws, img, s, shifts=np.arange(-2, 3, 2))
+    assert res.shifts == (-2, 0, 2) and all(type(dx) is int for dx in res.shifts)
+    assert res == run_shift_experiment(cfg, ws, img, s, shifts=[-2, 0, 2])
+
+
+def test_experiment_checks_the_class_map_without_shifting():
+    cfg, ws, img, s = tiny_net()
+    with pytest.raises(ValueError):
+        run_shift_experiment(cfg, ws, img, s.astype(np.float32), shifts=[0])
+    with pytest.raises(ShapeError):
+        run_shift_experiment(cfg, ws, img, s[:, :-1], shifts=[0])
+
+
 def test_experiment_zero_weight_net_all_slopes_zero():
     cfg, _, img, s = tiny_net()
     ws = zero_weights(cfg)
@@ -350,7 +375,7 @@ def test_experiment_nonfinite_shifted_prediction_raises():
     img = Tensor(np.array([[[0.0, 100.0]]], dtype=np.float32))
     assert network.forward(cfg, ws, img)[0].inverse_turning_radius == 0.0
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteOutputError, match="dx=-1"):
-        run_shift_experiment(cfg, ws, img, seg_from([[0.0, 1.0]]), shifts=[-1, 0, 1])
+        run_shift_experiment(cfg, ws, img, binary([[0.0, 1.0]]), shifts=[-1, 0, 1])
 
 
 @pytest.fixture(scope="module")
@@ -403,7 +428,7 @@ def test_zero_weight_net_flags_degenerate_segmentation(trained_frame):
 
 def test_whole_frame_class1_is_degenerate():
     cfg, ws, img, _ = tiny_net()
-    full = seg_from(np.ones((cfg.input_height, cfg.input_width), dtype=np.float32))
+    full = binary(np.ones((cfg.input_height, cfg.input_width), dtype=np.float32))
     summary = result_summary(run_shift_experiment(cfg, ws, img, full, shifts=[-2, 0, 2]))
     assert summary["class1_fraction"] == 1.0
     assert summary["degenerate_segmentation"] is True
@@ -443,3 +468,7 @@ def test_summary_structure():
     for mode in MODES:
         for key in ("slope", "intercept", "r_squared"):
             assert isinstance(summary["series"][mode][key], float)
+        fit = fit_line(np.asarray(res.shifts, dtype=np.float64), np.asarray(res.series(mode)))
+        assert res.fit(mode) == fit
+        assert summary["series"][mode] == {"slope": fit.slope, "intercept": fit.intercept,
+                                           "r_squared": fit.r_squared}

@@ -9,7 +9,6 @@ from oracles import mask_loops
 from visback.config import NetworkConfig, conv_layer, fc_layer, validate_config
 from visback.network import ActivationTrace, forward
 from visback.saliency import (
-    MaskTrace,
     TraceMismatchError,
     VisualizationMask,
     compute_mask,
@@ -45,10 +44,10 @@ def test_intermediate_mask_ramp_example():
     cfg = two_conv_cfg()
     ramp = np.arange(9, dtype=np.float32).reshape(1, 3, 3) / 8.0
     maps = [Tensor(ramp), Tensor(np.ones((1, 1, 1), dtype=np.float32))]
-    _, mtrace = compute_mask(hand_trace(cfg, maps), cfg)
-    assert len(mtrace.masks) == 2
-    np.testing.assert_allclose(mtrace.masks[0], ramp[0], atol=1e-7)
-    np.testing.assert_allclose(mtrace.masks[1], [[1.0]])
+    _, levels = compute_mask(hand_trace(cfg, maps), cfg)
+    assert isinstance(levels, tuple) and len(levels) == 2
+    np.testing.assert_allclose(levels[0], ramp[0], atol=1e-7)
+    np.testing.assert_allclose(levels[1], [[1.0]])
 
 
 def test_mask_single_conv_locality():
@@ -82,13 +81,14 @@ def test_mask_has_input_dims_and_unit_range():
         ws = random_weights(cfg, rng)
         img = random_image(cfg, rng)
         _, trace = forward(cfg, ws, img)
-        mask, mtrace = compute_mask(trace, cfg)
+        mask, levels = compute_mask(trace, cfg)
         assert (mask.height, mask.width) == (cfg.input_height, cfg.input_width)
         assert mask.data.min() >= 0.0 and mask.data.max() <= 1.0
         # intermediate mask sizes telescope along the conv feature maps
         shapes = {row.index: row.output_shape for row in validate_config(cfg)}
-        for level, idx in zip(mtrace.masks, cfg.conv_indices()):
-            assert level.shape == shapes[idx][1:]
+        assert len(levels) == len(cfg.conv_indices())
+        for level, idx in zip(levels, cfg.conv_indices()):
+            assert level.shape == shapes[idx][1:] and level.dtype == np.float32
 
 
 def test_mask_uses_post_activation_maps():
@@ -188,10 +188,6 @@ def test_visualization_mask_validates_range_and_channels():
     assert m.data.dtype == np.float32 and m.data[0, 0] == 0.5
     with pytest.raises(ValueError):
         m.data[0, 0] = 1.0  # read-only
-    with pytest.raises(ValueError):
-        MaskTrace(())
-    with pytest.raises(ShapeError):
-        MaskTrace((np.zeros((1, 2, 2)),))
 
 
 # --- overlay ----------------------------------------------------------------

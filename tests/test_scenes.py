@@ -30,9 +30,9 @@ def params(offset=0.0, heading=0.0, curvature=0.0, style="lane_marked", seed=0):
                        style=style, seed=seed)
 
 
-def augment_one(rgb, label, shift, gain=OFFSET_GAIN):
+def augment_one(rgb, label, shift):
     """One (H, W, 3) frame through the training augmenter as a batch of one."""
-    imgs, labels = _augment_batch(rgb[np.newaxis], np.array([label], np.float32), np.array([shift]), gain)
+    imgs, labels = _augment_batch(rgb[np.newaxis], np.array([label], np.float32), np.array([shift]))
     return imgs[0], float(labels[0])
 
 
@@ -239,8 +239,8 @@ def test_augment_rightward_shift_gives_leftward_correction():
 
 
 def test_augment_label_matches_rerendered_ground_truth():
-    """With the correction gain equal to the offset gain, the augmented label
-    is the ground truth of the displaced camera position."""
+    """The augmented label is the ground truth of the displaced camera position:
+    the label correction per meter is the renderer's offset gain."""
     p = params(offset=0.2, heading=0.015, curvature=-0.003)
     label = ground_truth_steering(p.lane_offset, p.heading, p.curvature)
     s = 0.35

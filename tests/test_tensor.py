@@ -142,7 +142,7 @@ def test_conv_matches_loop_oracle(data):
 # --- channel mean ----------------------------------------------------------
 
 def top_mask_level(x):
-    """The deepest MaskTrace level for a one-conv net whose conv map is x:
+    """The deepest mask level for a one-conv net whose conv map is x:
     the channel mean that ``compute_mask`` takes of each traced map."""
     c, h, w = x.shape
     cfg = NetworkConfig(1, h, w, (
@@ -150,7 +150,7 @@ def top_mask_level(x):
         fc_layer(1, activation="none"),
     ))
     trace = ActivationTrace(((0, Tensor(x)),))
-    return compute_mask(trace, cfg)[1].masks[-1]
+    return compute_mask(trace, cfg)[1][-1]
 
 
 def test_channel_mean_two_channels():

@@ -50,7 +50,6 @@ def test_train_config_defaults_are_valid():
     assert tc.batch_size >= 1
     assert tc.epochs >= 1
     assert tc.augmentation_shift_range >= 0
-    assert tc.steering_correction_gain > 0
 
 
 def test_train_config_zero_learning_rate_allowed():
@@ -69,8 +68,8 @@ def test_train_config_zero_shift_range_allowed():
         {"batch_size": -3},
         {"epochs": 0},
         {"augmentation_shift_range": -0.1},
-        {"steering_correction_gain": 0.0},
-        {"steering_correction_gain": -0.06},
+        {"learning_rate": float("nan")},
+        {"augmentation_shift_range": float("inf")},
         {"seed": -1},
     ],
 )
@@ -241,9 +240,7 @@ def test_generate_dataset_custom_size():
 
 def test_augment_batch_zero_shift_is_identity():
     ds = tiny_dataset(3, seed=6)
-    imgs, labels = training._augment_batch(
-        ds.images_rgb, ds.labels, np.zeros(3), gain=0.06
-    )
+    imgs, labels = training._augment_batch(ds.images_rgb, ds.labels, np.zeros(3))
     assert np.array_equal(imgs, ds.images_rgb)
     np.testing.assert_array_equal(labels, ds.labels)
 
@@ -252,10 +249,9 @@ def test_augment_batch_applies_shift_and_label_rule():
     # bit-identical to warping each frame on its own with take_along_axis
     ds = tiny_dataset(5, seed=7)
     shifts = np.array([0.4, -0.3, 0.0, 1.0, -1.0])
-    gain = 0.06
-    imgs, labels = training._augment_batch(ds.images_rgb, ds.labels, shifts, gain)
+    imgs, labels = training._augment_batch(ds.images_rgb, ds.labels, shifts)
     np.testing.assert_allclose(
-        labels, (ds.labels - gain * shifts).astype(np.float32), rtol=0, atol=0
+        labels, (ds.labels - scenes.OFFSET_GAIN * shifts).astype(np.float32), rtol=0, atol=0
     )
     assert imgs.shape == ds.images_rgb.shape and imgs.dtype == np.uint8
     h, w = ds.images_rgb.shape[1:3]
