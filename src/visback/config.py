@@ -5,12 +5,14 @@ A config is an ordered list of layers. The hard-coded normalization layer,
 when present, must come first; convolutional layers precede fully connected
 ones; the last layer is a single-unit fully connected output (the steering
 value). Shape arithmetic is validated end to end before any weights exist.
+Every layer size comes from the one ``validate_config`` walk: no layer
+declares its input length. The JSON form rejects any key it does not read, so
+a misspelled key is an error, not a silently applied default.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +31,6 @@ class LayerSpec:
     kind: str
     geometry: Optional[ConvGeometry] = None  # conv only
     units: Optional[int] = None  # fully_connected only
-    in_features: Optional[int] = None  # fully_connected only; None = derived from the chain
     activation: str = "none"
 
     def __post_init__(self):
@@ -45,8 +46,6 @@ class LayerSpec:
             raise ConfigError(f"{self.kind} layer must not carry a geometry")
         if self.kind != "fully_connected" and self.units is not None:
             raise ConfigError(f"{self.kind} layer must not carry units")
-        if self.kind != "fully_connected" and self.in_features is not None:
-            raise ConfigError(f"{self.kind} layer must not carry in_features")
 
 
 def conv_layer(out_channels: int, kernel: int, stride: int, in_channels: int, activation: str = "relu") -> LayerSpec:
@@ -105,7 +104,6 @@ def validate_config(cfg: NetworkConfig) -> list[LayerShape]:
 
     table: list[LayerShape] = []
     spatial: Optional[tuple[int, int, int]] = cfg.input_shape  # None once flattened
-    flat_len = 0
 
     for i, layer in enumerate(cfg.layers):
         if layer.kind == "normalization":
@@ -125,31 +123,13 @@ def validate_config(cfg: NetworkConfig) -> list[LayerShape]:
             spatial = (g.out_channels, oh, ow)
             table.append(LayerShape(i, layer.kind, spatial))
         else:  # fully_connected
-            if spatial is not None:
-                flat_len = spatial[0] * spatial[1] * spatial[2]
-                spatial = None
-            if layer.in_features is not None and layer.in_features != flat_len:
-                raise ConfigError(
-                    f"layer {i}: declared input length {layer.in_features} != chain-derived length {flat_len}"
-                )
+            spatial = None
             table.append(LayerShape(i, layer.kind, (layer.units,)))
-            flat_len = layer.units
 
     last = cfg.layers[-1]
     if last.kind != "fully_connected" or last.units != 1:
         raise ConfigError("last layer must be a single-unit fully connected output")
     return table
-
-
-def fc_input_lengths(cfg: NetworkConfig) -> dict[int, int]:
-    """Input vector length of every fully connected layer, keyed by layer index:
-    the flattened output of the row before it in the validation table."""
-    table = validate_config(cfg)
-    return {
-        row.index: math.prod(table[row.index - 1].output_shape if row.index else cfg.input_shape)
-        for row in table
-        if row.kind == "fully_connected"
-    }
 
 
 def default_config() -> NetworkConfig:
@@ -228,10 +208,7 @@ def config_to_dict(cfg: NetworkConfig) -> dict:
                 }
             )
         elif layer.kind == "fully_connected":
-            entry = {"kind": "fully_connected", "units": layer.units, "activation": layer.activation}
-            if layer.in_features is not None:
-                entry["in_features"] = layer.in_features
-            layers.append(entry)
+            layers.append({"kind": "fully_connected", "units": layer.units, "activation": layer.activation})
         else:
             layers.append({"kind": "normalization"})
     return {
@@ -249,43 +226,49 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _reject_unread(rest: dict, where: str) -> None:
+    """``rest`` is what is left of a JSON object after every key read was popped."""
+    if rest:
+        raise ConfigError(f"{where}: unknown key {', '.join(map(repr, rest))}")
+
+
 def config_from_dict(d: dict) -> NetworkConfig:
+    """Build a NetworkConfig from its JSON form. Each object is read by popping
+    keys off a copy, so any key left over is one no layer kind reads."""
     try:
+        d = {**d}
         layers = []
-        for i, entry in enumerate(d["layers"]):
-            kind = entry["kind"]
+        for i, entry in enumerate(d.pop("layers")):
+            entry = {**entry}
+            kind = entry.pop("kind")
             if kind == "conv":
-                kh, kw = (_json_int(v, f"layer {i} kernel") for v in entry["kernel"])
-                sh, sw = (_json_int(v, f"layer {i} stride") for v in entry["stride"])
+                kh, kw = (_json_int(v, f"layer {i} kernel") for v in entry.pop("kernel"))
+                sh, sw = (_json_int(v, f"layer {i} stride") for v in entry.pop("stride"))
                 geom = ConvGeometry(
                     kernel_h=kh,
                     kernel_w=kw,
                     stride_h=sh,
                     stride_w=sw,
-                    in_channels=_json_int(entry["in_channels"], f"layer {i} in_channels"),
-                    out_channels=_json_int(entry["out_channels"], f"layer {i} out_channels"),
+                    in_channels=_json_int(entry.pop("in_channels"), f"layer {i} in_channels"),
+                    out_channels=_json_int(entry.pop("out_channels"), f"layer {i} out_channels"),
                 )
-                layers.append(LayerSpec(kind="conv", geometry=geom, activation=entry.get("activation", "none")))
+                layers.append(LayerSpec(kind="conv", geometry=geom, activation=entry.pop("activation", "none")))
             elif kind == "fully_connected":
-                in_features = entry.get("in_features")
-                layers.append(
-                    LayerSpec(
-                        kind="fully_connected",
-                        units=_json_int(entry["units"], f"layer {i} units"),
-                        in_features=None if in_features is None else _json_int(in_features, f"layer {i} in_features"),
-                        activation=entry.get("activation", "none"),
-                    )
-                )
+                units = _json_int(entry.pop("units"), f"layer {i} units")
+                layers.append(LayerSpec(kind="fully_connected", units=units, activation=entry.pop("activation", "none")))
             elif kind == "normalization":
                 layers.append(LayerSpec(kind="normalization"))
             else:
                 raise ConfigError(f"unknown layer kind {kind!r}")
-        return NetworkConfig(
-            input_channels=_json_int(d["input_channels"], "input_channels"),
-            input_height=_json_int(d["input_height"], "input_height"),
-            input_width=_json_int(d["input_width"], "input_width"),
+            _reject_unread(entry, f"layer {i} ({kind})")
+        cfg = NetworkConfig(
+            input_channels=_json_int(d.pop("input_channels"), "input_channels"),
+            input_height=_json_int(d.pop("input_height"), "input_height"),
+            input_width=_json_int(d.pop("input_width"), "input_width"),
             layers=tuple(layers),
         )
+        _reject_unread(d, "config")
+        return cfg
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -115,6 +115,8 @@ def overlay(rgb: np.ndarray, mask: VisualizationMask, gain: float = 255.0) -> np
         raise ShapeError(f"overlay expects an (H, W, 3) uint8 frame, got {rgb.shape} {rgb.dtype}")
     if rgb.shape[:2] != mask.data.shape:
         raise ShapeError(f"image size {rgb.shape[:2]} != mask size {mask.data.shape}")
+    if not np.isfinite(gain):
+        raise ValueError(f"gain must be finite, got {gain}")
     green = rgb[:, :, 1] + np.float32(gain) * mask.data
     out = rgb.copy()
     out[:, :, 1] = np.clip(np.rint(green), 0, 255).astype(np.uint8)

@@ -11,6 +11,7 @@ triple reproduces the weight trajectory bit for bit.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +42,12 @@ class DivergenceError(RuntimeError):
         self.loss = loss
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """An integer (numpy integers included, bool not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.5
@@ -52,12 +59,9 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_int("batch_size", self.batch_size, 1)
+        _check_int("epochs", self.epochs, 1)
+        _check_int("seed", self.seed, 0)
         if not (np.isfinite(self.augmentation_shift_range) and self.augmentation_shift_range >= 0.0):
             raise ValueError(f"augmentation_shift_range must be >= 0, got {self.augmentation_shift_range}")
 
@@ -174,10 +178,10 @@ def sample_scene_params(rng: np.random.Generator, style: str = "mixed") -> Scene
 def generate_dataset(n: int, style: str = "mixed", seed: int = 0,
                      width: int = 200, height: int = 66) -> FrameDataset:
     """Render n seeded scenes into a dataset; deterministic in every argument."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_int("n", n, 0)
+    _check_int("seed", seed, 0)
+    _check_int("width", width, 1)
+    _check_int("height", height, 1)
     if style != "mixed" and style not in STYLES:
         raise ValueError(f"style must be 'mixed' or one of {STYLES}, got {style!r}")
     rng = np.random.default_rng(seed)

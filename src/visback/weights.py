@@ -17,6 +17,7 @@ sets reuse the same container, so a WeightSet is also what backward returns.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -24,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileutil import atomic_write_bytes
-from .config import (
-    ConfigError,
-    NetworkConfig,
-    canonical_json,
-    config_from_dict,
-    fc_input_lengths,
-)
+from .config import ConfigError, NetworkConfig, canonical_json, config_from_dict, validate_config
 
 MAGIC = b"PNW1"
 
@@ -48,14 +43,16 @@ class WeightChecksumError(WeightFileError):
 
 
 def parameter_shapes(cfg: NetworkConfig) -> dict[int, tuple[int, int]]:
-    """Expected (weight count, bias count) per trainable layer index."""
-    fc_in = fc_input_lengths(cfg)
+    """Expected (weight count, bias count) per trainable layer index. A fully
+    connected layer's fan-in is the flattened output of the row before it."""
+    table = validate_config(cfg)
     shapes: dict[int, tuple[int, int]] = {}
     for i, layer in enumerate(cfg.layers):
         if layer.kind == "conv":
             shapes[i] = (layer.geometry.weight_count(), layer.geometry.out_channels)
         elif layer.kind == "fully_connected":
-            shapes[i] = (layer.units * fc_in[i], layer.units)
+            fan_in = math.prod(table[i - 1].output_shape if i else cfg.input_shape)
+            shapes[i] = (layer.units * fan_in, layer.units)
     return shapes
 
 

@@ -62,9 +62,6 @@ def random_image(cfg: NetworkConfig, rng: np.random.Generator) -> Tensor:
 def oracle_layers(cfg: NetworkConfig, ws: WeightSet) -> list:
     """Convert a config + weight set into the plain-array layer tuples the
     straight-loop oracle implementations consume."""
-    from visback.config import fc_input_lengths
-
-    fc_in = fc_input_lengths(cfg)
     layers = []
     for i, layer in enumerate(cfg.layers):
         if layer.kind == "normalization":
@@ -75,7 +72,7 @@ def oracle_layers(cfg: NetworkConfig, ws: WeightSet) -> list:
             layers.append(("conv", w4.astype(np.float64), ws.bias(i).astype(np.float64),
                            g.stride_h, g.stride_w, layer.activation))
         else:
-            w2 = ws.weight(i).reshape(layer.units, fc_in[i])
+            w2 = ws.weight(i).reshape(layer.units, -1)
             layers.append(("fc", w2.astype(np.float64), ws.bias(i).astype(np.float64),
                            layer.activation))
     return layers

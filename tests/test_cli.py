@@ -245,6 +245,18 @@ def test_train_non_integer_config_field_is_data_error(workbench, tmp_path, capsy
     assert "layer 1 out_channels must be an integer" in capsys.readouterr().err
 
 
+def test_train_unknown_config_key_is_data_error(workbench, tmp_path, capsys):
+    cfg = json.loads((workbench["cfg_path"]).read_text())
+    cfg["layers"][1]["activaton"] = "relu"
+    cfg_path = tmp_path / "typo.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "x.pnw"
+    rc = main(["train", "--config", str(cfg_path), "--data", str(workbench["data_dir"]), "--out", str(out)])
+    assert rc == EXIT_DATA
+    assert "layer 1 (conv): unknown key 'activaton'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_divergence_is_numeric_error(workbench, tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["train", "--config", str(workbench["cfg_path"]),

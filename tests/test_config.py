@@ -2,6 +2,8 @@
 checks, and the JSON round trip."""
 
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +19,14 @@ from visback.config import (
     conv_layer,
     default_config,
     fc_layer,
-    fc_input_lengths,
     load_config,
     save_config,
     toy_config,
     validate_config,
 )
+from visback.weights import parameter_shapes
+
+TOY_WEIGHTS = Path(__file__).resolve().parents[1] / "bench" / "toy_weights.pnw"
 
 
 def test_default_config_conv_shape_chain():
@@ -43,13 +47,13 @@ def test_default_config_conv_shape_chain():
 
 def test_default_config_fc_chain_and_flatten_length():
     cfg = default_config()
-    lengths = fc_input_lengths(cfg)
-    # last conv output 64 x 1 x 18 flattens to 1152 entering the 1164-unit layer
-    fc_indices = sorted(lengths)
-    assert lengths[fc_indices[0]] == 64 * 1 * 18
     table = validate_config(cfg)
-    fc_rows = [row.output_shape for row in table if row.kind == "fully_connected"]
-    assert fc_rows == [(1164,), (100,), (50,), (10,), (1,)]
+    fc_rows = [row for row in table if row.kind == "fully_connected"]
+    assert [row.output_shape for row in fc_rows] == [(1164,), (100,), (50,), (10,), (1,)]
+    # last conv output 64 x 1 x 18 flattens to 1152 entering the 1164-unit layer
+    shapes = parameter_shapes(cfg)
+    fan_ins = [shapes[row.index][0] // shapes[row.index][1] for row in fc_rows]
+    assert fan_ins == [64 * 1 * 18, 1164, 100, 50, 10]
 
 
 def test_toy_config_is_valid_and_ends_in_one_unit():
@@ -103,21 +107,6 @@ def test_validate_rejects_wrong_output_layer():
     cfg2 = NetworkConfig(3, 8, 8, (fc_layer(4), fc_layer(2, activation="none")))
     with pytest.raises(ConfigError):
         validate_config(cfg2)
-
-
-def test_validate_checks_declared_in_features():
-    layers = (
-        conv_layer(2, kernel=3, stride=1, in_channels=3),
-        LayerSpec(kind="fully_connected", units=1, in_features=999, activation="none"),
-    )
-    cfg = NetworkConfig(3, 8, 8, layers)
-    with pytest.raises(ConfigError):
-        validate_config(cfg)
-    ok = NetworkConfig(3, 8, 8, (
-        conv_layer(2, kernel=3, stride=1, in_channels=3),
-        LayerSpec(kind="fully_connected", units=1, in_features=2 * 6 * 6, activation="none"),
-    ))
-    validate_config(ok)
 
 
 def test_layer_spec_field_consistency():
@@ -193,7 +182,6 @@ NON_INTEGER_FIELDS = [
     (("layers", 1, "out_channels"), 12.9, "layer 1 out_channels"),
     (("layers", 2, "in_channels"), True, "layer 2 in_channels"),
     (("layers", 4, "units"), 1.0, "layer 4 units"),
-    (("layers", 4, "in_features"), 5000.0, "layer 4 in_features"),
     (("input_height",), True, "input_height"),
     (("input_width",), "200", "input_width"),
     (("input_channels",), 3.0, "input_channels"),
@@ -210,3 +198,32 @@ def test_config_from_dict_accepts_only_json_integers(path, value, field):
     target[path[-1]] = value
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
         config_from_dict(d)
+
+
+# (path to the object, key added, the name the error gives that object)
+UNKNOWN_KEYS = [
+    ((), "input_depth", "config"),
+    (("layers", 0), "scale", r"layer 0 \(normalization\)"),
+    (("layers", 1), "activaton", r"layer 1 \(conv\)"),
+    (("layers", 4), "dropout", r"layer 4 \(fully_connected\)"),
+    (("layers", 4), "in_features", r"layer 4 \(fully_connected\)"),  # removed field
+]
+
+
+@pytest.mark.parametrize("path, key, where", UNKNOWN_KEYS, ids=[key for _, key, _ in UNKNOWN_KEYS])
+def test_config_from_dict_rejects_unknown_keys(path, key, where):
+    d = json.loads(canonical_json(toy_config()))
+    target = d
+    for step in path:
+        target = target[step]
+    # a value the loader would accept for a field of that name: only the key is wrong
+    target[key] = 20 * 5 * 22 if key == "in_features" else "relu"
+    with pytest.raises(ConfigError, match=f"^{where}: unknown key '{key}'$"):
+        config_from_dict(d)
+
+
+def test_canonical_json_matches_committed_weight_file():
+    """The on-disk config form has not drifted from the committed toy weights."""
+    blob = TOY_WEIGHTS.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 4)
+    assert blob[8 : 8 + n] == canonical_json(toy_config()).encode("utf-8")

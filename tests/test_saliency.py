@@ -230,6 +230,13 @@ def test_overlay_shape_checks():
         overlay(img.astype(np.float32), unit_mask(4, 4, 0.5))
 
 
+@pytest.mark.parametrize("gain", [float("nan"), float("inf"), -float("inf")])
+def test_overlay_rejects_non_finite_gain(gain):
+    img = np.zeros((2, 2, 3), dtype=np.uint8)
+    with pytest.raises(ValueError, match="gain must be finite"):
+        overlay(img, unit_mask(2, 2, 0.5), gain=gain)
+
+
 def test_mask_to_gray_quantization():
     m = VisualizationMask(np.array([[0.0, 0.5, 1.0]], dtype=np.float32))
     gray = mask_to_gray(m)

@@ -71,11 +71,23 @@ def test_train_config_zero_shift_range_allowed():
         {"learning_rate": float("nan")},
         {"augmentation_shift_range": float("inf")},
         {"seed": -1},
+        {"epochs": 1.5},
+        {"epochs": True},
+        {"batch_size": 2.5},
+        {"batch_size": "32"},
+        {"seed": 1.5},
+        {"seed": False},
     ],
 )
 def test_train_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    (field,) = kwargs
+    with pytest.raises(ValueError, match=field):
         TrainConfig(**kwargs)
+
+
+def test_train_config_accepts_numpy_integers():
+    tc = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint8(7))
+    assert (tc.epochs, tc.batch_size, tc.seed) == (2, 4, 7)
 
 
 # ------------------------------------------------------------- color handling
@@ -228,6 +240,17 @@ def test_generate_dataset_validates_arguments():
         generate_dataset(2, style="watercolor")
     with pytest.raises(ValueError, match="seed"):
         generate_dataset(2, seed=-1)
+    for kwargs, name in [
+        ({"n": 2.5}, "n"),
+        ({"n": True}, "n"),
+        ({"seed": 1.5}, "seed"),
+        ({"width": 0}, "width"),
+        ({"height": 0}, "height"),
+        ({"width": 32.0}, "width"),
+        ({"height": -5}, "height"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            generate_dataset(**{"n": 2, **kwargs})
 
 
 def test_generate_dataset_custom_size():

@@ -1,13 +1,18 @@
 """Weight container and its binary file format: round trips, corruption
 detection, initialization bounds."""
 
+import json
+import math
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corrupt, corruptions, random_conv_config, random_weights
-from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer, toy_config
+from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer, toy_config, validate_config
 from visback.weights import (
     WeightChecksumError,
     WeightFileError,
@@ -52,14 +57,13 @@ def test_init_weights_deterministic_and_bounded():
     assert some_difference
 
     # uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)]
-    from visback.config import fc_input_lengths
-    fc_in = fc_input_lengths(cfg)
+    table = validate_config(cfg)
     for i, layer in enumerate(cfg.layers):
         if layer.kind == "conv":
             g = layer.geometry
             fan_in = g.in_channels * g.kernel_h * g.kernel_w
         elif layer.kind == "fully_connected":
-            fan_in = fc_in[i]
+            fan_in = math.prod(table[i - 1].output_shape)
         else:
             continue
         bound = 1.0 / np.sqrt(fan_in)
@@ -168,6 +172,23 @@ def test_invalid_embedded_config_names_the_file(tmp_path):
     assert blob.count(b'"units":1') == 1
     path.write_bytes(blob.replace(b'"units":1', b'"units":3'))
     with pytest.raises(WeightFileError, match=r"w\.pnw: embedded config invalid: last layer"):
+        load_weights(path)
+
+
+def test_embedded_config_with_unknown_key_is_rejected(tmp_path):
+    # an old file that still declares the output layer's input length, with a
+    # correct checksum: the config reader refuses the key it no longer reads
+    path = tmp_path / "w.pnw"
+    save_weights(init_weights(_small_net(), seed=0), path)
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 4)
+    cfg = json.loads(blob[8 : 8 + n])
+    cfg["layers"][2]["in_features"] = 2 * 3 * 3
+    cfg_bytes = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = blob[:4] + struct.pack("<I", len(cfg_bytes)) + cfg_bytes + blob[8 + n : -4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(WeightFileError,
+                       match=r"w\.pnw: embedded config unreadable: layer 2 \(fully_connected\): unknown key 'in_features'"):
         load_weights(path)
 
 
