@@ -13,6 +13,7 @@ a misspelled key is an error, not a silently applied default.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +25,14 @@ ACTIVATIONS = ("relu", "none")
 
 class ConfigError(ValueError):
     """Raised when a network config is internally inconsistent."""
+
+
+def _int_field(value, field: str):
+    """``value`` if it is an integer (numpy integers too, bool not); a float,
+    bool or string is refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -40,7 +49,7 @@ class LayerSpec:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.kind == "conv" and self.geometry is None:
             raise ConfigError("conv layer requires a geometry")
-        if self.kind == "fully_connected" and (self.units is None or self.units < 1):
+        if self.kind == "fully_connected" and (self.units is None or _int_field(self.units, "units") < 1):
             raise ConfigError("fully_connected layer requires units >= 1")
         if self.kind != "conv" and self.geometry is not None:
             raise ConfigError(f"{self.kind} layer must not carry a geometry")
@@ -73,6 +82,8 @@ class NetworkConfig:
     layers: tuple[LayerSpec, ...]
 
     def __post_init__(self):
+        for name in ("input_channels", "input_height", "input_width"):
+            _int_field(getattr(self, name), name)
         object.__setattr__(self, "layers", tuple(self.layers))
 
     @property
@@ -219,13 +230,6 @@ def config_to_dict(cfg: NetworkConfig) -> dict:
     }
 
 
-def _json_int(value, field: str) -> int:
-    """A JSON integer as is; a float, bool or string is refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
 def _reject_unread(rest: dict, where: str) -> None:
     """``rest`` is what is left of a JSON object after every key read was popped."""
     if rest:
@@ -242,19 +246,19 @@ def config_from_dict(d: dict) -> NetworkConfig:
             entry = {**entry}
             kind = entry.pop("kind")
             if kind == "conv":
-                kh, kw = (_json_int(v, f"layer {i} kernel") for v in entry.pop("kernel"))
-                sh, sw = (_json_int(v, f"layer {i} stride") for v in entry.pop("stride"))
+                kh, kw = (_int_field(v, f"layer {i} kernel") for v in entry.pop("kernel"))
+                sh, sw = (_int_field(v, f"layer {i} stride") for v in entry.pop("stride"))
                 geom = ConvGeometry(
                     kernel_h=kh,
                     kernel_w=kw,
                     stride_h=sh,
                     stride_w=sw,
-                    in_channels=_json_int(entry.pop("in_channels"), f"layer {i} in_channels"),
-                    out_channels=_json_int(entry.pop("out_channels"), f"layer {i} out_channels"),
+                    in_channels=_int_field(entry.pop("in_channels"), f"layer {i} in_channels"),
+                    out_channels=_int_field(entry.pop("out_channels"), f"layer {i} out_channels"),
                 )
                 layers.append(LayerSpec(kind="conv", geometry=geom, activation=entry.pop("activation", "none")))
             elif kind == "fully_connected":
-                units = _json_int(entry.pop("units"), f"layer {i} units")
+                units = _int_field(entry.pop("units"), f"layer {i} units")
                 layers.append(LayerSpec(kind="fully_connected", units=units, activation=entry.pop("activation", "none")))
             elif kind == "normalization":
                 layers.append(LayerSpec(kind="normalization"))
@@ -262,9 +266,9 @@ def config_from_dict(d: dict) -> NetworkConfig:
                 raise ConfigError(f"unknown layer kind {kind!r}")
             _reject_unread(entry, f"layer {i} ({kind})")
         cfg = NetworkConfig(
-            input_channels=_json_int(d.pop("input_channels"), "input_channels"),
-            input_height=_json_int(d.pop("input_height"), "input_height"),
-            input_width=_json_int(d.pop("input_width"), "input_width"),
+            input_channels=d.pop("input_channels"),
+            input_height=d.pop("input_height"),
+            input_width=d.pop("input_width"),
             layers=tuple(layers),
         )
         _reject_unread(d, "config")

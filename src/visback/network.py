@@ -22,15 +22,32 @@ backward reads everything else off those records: the ReLU mask is
   one phase (row % stride_h, col % stride_w) of the input grid add their
   GEMMs into contiguous slices of a dense accumulator, and each phase is
   copied into the strided gradient once.
+* ``forward_batch`` and the loss run their chunks ``CHUNK_THREADS`` at a
+  time: the calling thread runs the first chunk of each round and a module
+  pool the rest, and a round's results are combined in chunk order before
+  the next round starts. ``CHUNK_THREADS`` is the CPU count over the BLAS
+  thread count (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else one
+  BLAS thread per CPU), read once at import. So with BLAS pinned to one
+  thread a 2-CPU machine runs two chunks at once; with BLAS unpinned the
+  chunks run serially on the caller and no pool thread starts. With the
+  pool on, importing this module makes glibc keep later threads in its
+  main malloc arena (``_share_malloc_arena``).
 
 Every result is a deterministic function of (config, weights, input). The
 conv kernel runs one GEMM and the FC head one matrix-vector product per
 frame, so a frame's conv maps and prediction are bit-identical in a batch of
-any size, at any chunk position. See README "Determinism".
+any size, at any chunk position. Chunks are reduced in the same order at any
+``CHUNK_THREADS``, so every output is bit-identical at any chunk-thread
+count. See README "Determinism".
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as wait_all
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +117,91 @@ def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[Stee
     return SteeringOutput(float(pred[0])), ActivationTrace(maps)
 
 
-MICRO_BATCH = 4  # frames per forward/backward chunk; chosen by a sweep over {1, 2, 4, 8, 16}
+# Frames per forward/backward chunk. At 2 chunk threads, 2 keeps 4 frames in
+# flight, as serial 4-frame chunks did, and with them the peak memory: 4-frame
+# chunks on 2 threads read 99.4-99.7 MB peak RSS on the bench's `gen_eval` and
+# `explain_shift` against about 91 MB serially, near its 10% bound. The serial
+# path (BLAS unpinned) pays for it: batch-64 `default` forward_batch and the
+# `toy` batch-32 loss and gradients each ran about 10% slower than with
+# 4-frame chunks.
+MICRO_BATCH = 2
+
+
+def _chunk_threads() -> int:
+    """CPUs over BLAS threads: the chunks that can run at once without
+    oversubscribing the CPUs. BLAS threads are the first positive integer in
+    ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``; with neither set,
+    OpenBLAS runs one thread per CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas = value
+            break
+    return max(1, cpus // blas)
+
+
+_M_ARENA_MAX = -8  # mallopt parameter number, from glibc's malloc.h
+
+
+def _share_malloc_arena() -> None:
+    """Have threads started from now on allocate from glibc's main malloc arena.
+
+    glibc gives each allocating thread an arena of its own, and an arena
+    keeps the heap its peak working set freed while that stays below the
+    trim threshold. A pool thread's arena held about 7 MB of free heap after
+    batch-64 `default` evals, which raised the bench's peak RSS by up to
+    10%. In one arena the pool thread reuses memory the caller freed. Where
+    the C library has no ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no handle on the C library, or no mallopt in it
+        return
+    mallopt(ctypes.c_int(_M_ARENA_MAX), ctypes.c_int(1))
+
+
+CHUNK_THREADS = _chunk_threads()
+# threads start on the first submit, so at CHUNK_THREADS = 1 none ever does
+_POOL = ThreadPoolExecutor(max_workers=max(1, CHUNK_THREADS - 1), thread_name_prefix="visback-chunk")
+if CHUNK_THREADS > 1:
+    _share_malloc_arena()
+
+
+def _chunk_round(run_chunk, starts) -> list:
+    """``run_chunk(lo)`` for each chunk start in ``starts``, the first on the
+    calling thread and the rest on the pool, as a list in chunk order.
+
+    Every chunk of the round has finished before this returns or raises, so
+    none still reads the weights once the caller moves on. A failure raises
+    the first failed chunk's error, as the serial loop would. Pool chunks
+    run in a copy of the caller's context, so the caller's ``np.errstate``
+    holds in them too.
+    """
+    futures = [_POOL.submit(contextvars.copy_context().run, run_chunk, lo) for lo in starts[1:]]
+    try:
+        results = [run_chunk(starts[0])]
+    finally:
+        wait_all(futures)
+    return results + [f.result() for f in futures]
+
+
+def _chunk_results(run_chunk, n: int):
+    """Yield ``(lo, run_chunk(lo))`` for the chunk starts 0, MICRO_BATCH, ...
+    below ``n``, in chunk order, running ``CHUNK_THREADS`` chunks at a time.
+    A round ends before the next begins, so at most ``CHUNK_THREADS``
+    chunks' records and results are alive at once."""
+    starts = range(0, n, MICRO_BATCH)
+    for r in range(0, len(starts), CHUNK_THREADS):
+        batch = starts[r : r + CHUNK_THREADS]
+        yield from zip(batch, _chunk_round(run_chunk, batch))
 
 
 def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, in_hw, out_hw) -> np.ndarray:
@@ -176,8 +277,11 @@ def forward_batch(cfg: NetworkConfig, weights: WeightSet, images: np.ndarray) ->
     x = np.asarray(images, dtype=np.float32)
     _check_batch(cfg, weights, x)
     preds = np.empty(x.shape[0], dtype=np.float32)
-    for lo in range(0, x.shape[0], MICRO_BATCH):
-        chunk, _ = _run_batch(cfg, weights, x[lo : lo + MICRO_BATCH], want_cache=False)
+
+    def run_chunk(lo):
+        return _run_batch(cfg, weights, x[lo : lo + MICRO_BATCH], want_cache=False)[0]
+
+    for lo, chunk in _chunk_results(run_chunk, x.shape[0]):
         preds[lo : lo + MICRO_BATCH] = chunk
     return preds
 
@@ -187,7 +291,8 @@ def _loss_and_grads_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
 
     Returns (loss, grads) with grads a dict layer index -> (dW flat, db). The
     normalization layer has no parameters and receives none. The batch runs
-    in micro-batches of ``MICRO_BATCH`` frames whose gradients are summed.
+    in micro-batches of ``MICRO_BATCH`` frames whose gradients are summed
+    in chunk order.
     """
     _check_batch(cfg, weights, x)
     n = x.shape[0]
@@ -198,11 +303,13 @@ def _loss_and_grads_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
     scale = np.float32(2.0 / n)
     sq_sum = 0.0
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for lo in range(0, n, MICRO_BATCH):
+
+    def run_chunk(lo):
         # the chunk body is called directly, so a wrapper on this function's
         # module attribute sees one call per batch
-        chunk_sq, chunk_grads = _chunk_loss_and_grads(
-            cfg, weights, x[lo : lo + MICRO_BATCH], targets[lo : lo + MICRO_BATCH], scale)
+        return _chunk_loss_and_grads(cfg, weights, x[lo : lo + MICRO_BATCH], targets[lo : lo + MICRO_BATCH], scale)
+
+    for _, (chunk_sq, chunk_grads) in _chunk_results(run_chunk, n):
         sq_sum += chunk_sq
         if not grads:
             grads = chunk_grads

@@ -12,6 +12,7 @@ Operations are pure: they never mutate their inputs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,10 @@ class ConvGeometry:
 
     def __post_init__(self):
         for name in ("kernel_h", "kernel_w", "stride_h", "stride_w", "in_channels", "out_channels"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ShapeError(f"ConvGeometry.{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ShapeError(f"ConvGeometry.{name} must be >= 1")
 
     def output_hw(self, height: int, width: int) -> tuple[int, int]:

@@ -24,6 +24,7 @@ from visback.config import (
     toy_config,
     validate_config,
 )
+from visback.tensor import ShapeError
 from visback.weights import parameter_shapes
 
 TOY_WEIGHTS = Path(__file__).resolve().parents[1] / "bench" / "toy_weights.pnw"
@@ -120,6 +121,41 @@ def test_layer_spec_field_consistency():
         LayerSpec(kind="what")
     with pytest.raises(ConfigError):
         LayerSpec(kind="fully_connected", units=2, activation="tanh")
+
+
+PYTHON_NON_INTEGERS = [
+    ("units", lambda: fc_layer(1.0, activation="none")),
+    ("units", lambda: LayerSpec(kind="fully_connected", units=2.5)),
+    ("units", lambda: LayerSpec(kind="fully_connected", units=True)),
+    ("input_channels", lambda: NetworkConfig(3.0, 8, 8, (fc_layer(1, activation="none"),))),
+    ("input_height", lambda: NetworkConfig(3, 66.0, 200, toy_config().layers)),
+    ("input_width", lambda: NetworkConfig(3, 8, True, (fc_layer(1, activation="none"),))),
+]
+
+
+@pytest.mark.parametrize("field, build", PYTHON_NON_INTEGERS,
+                         ids=[f"{field}-{k}" for k, (field, _) in enumerate(PYTHON_NON_INTEGERS)])
+def test_layer_sizes_built_in_python_must_be_integers(field, build):
+    """A float or bool size would pass the shape walk and only fail in
+    ``init_weights`` with a bare TypeError; it is refused at construction,
+    naming the field."""
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+        build()
+
+
+def test_conv_geometry_must_be_integers():
+    with pytest.raises(ShapeError, match="kernel_h must be an integer"):
+        conv_layer(24, kernel=5.0, stride=2, in_channels=3)
+    with pytest.raises(ShapeError, match="stride_h must be an integer"):
+        conv_layer(24, kernel=5, stride=True, in_channels=3)
+
+
+def test_numpy_integer_sizes_are_accepted():
+    cfg = NetworkConfig(np.int64(3), np.int32(8), np.int64(8), (
+        conv_layer(np.int64(2), kernel=np.int64(3), stride=np.int32(1), in_channels=3),
+        fc_layer(np.int64(1), activation="none"),
+    ))
+    assert [row.output_shape for row in validate_config(cfg)] == [(2, 6, 6), (1,)]
 
 
 def test_json_round_trip_preserves_config():

@@ -1,6 +1,10 @@
 """Forward pass, activation trace, and loss gradients."""
 
 import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -348,13 +352,20 @@ def test_loss_rejects_empty_batch_and_mismatched_targets():
             _loss_and_grads_batch(cfg, ws, x, np.zeros(n_targets, np.float32))
 
 
-@pytest.mark.parametrize("n", [1, MICRO_BATCH, 2 * MICRO_BATCH + 1])
+# one frame, one chunk, two chunks plus one frame, and two sizes from the
+# former 4-frame chunks: two whole chunks, four chunks plus one frame
+MICRO_BATCH_EDGES = sorted({1, MICRO_BATCH, 2 * MICRO_BATCH + 1, 4, 9})
+
+
+@pytest.mark.parametrize("n", MICRO_BATCH_EDGES)
 def test_micro_batch_edges_match_per_frame_results(n, monkeypatch):
     """A batch runs in chunks of MICRO_BATCH frames, the last one holding the
     remainder. At one frame, one full chunk and two chunks plus one frame,
     the loss and gradients equal the mean of per-frame ``backward`` results
     at the tolerance of the N=5 test above. (The predictions are checked bit
-    for bit by the determinism contract test below.)"""
+    for bit by the determinism contract test below.) The chunks run serially
+    here, so they are recorded in chunk order; the thread-count invariance
+    test covers the threads."""
     chunks = []
     run_batch = network._run_batch
 
@@ -363,6 +374,7 @@ def test_micro_batch_edges_match_per_frame_results(n, monkeypatch):
         return run_batch(cfg, weights, x, want_cache)
 
     monkeypatch.setattr(network, "_run_batch", recording)
+    monkeypatch.setattr(network, "CHUNK_THREADS", 1)
     rng = np.random.default_rng(47 + n)
     want_chunks = [MICRO_BATCH] * (n // MICRO_BATCH) + ([n % MICRO_BATCH] if n % MICRO_BATCH else [])
     for _ in range(3):
@@ -403,12 +415,13 @@ def _contract_nets():
 
 
 @pytest.mark.parametrize("whole_stack", [False, True], ids=["chunked", "whole_stack"])
-@pytest.mark.parametrize("n", [1, 2, 3, MICRO_BATCH, 2 * MICRO_BATCH + 1])
+@pytest.mark.parametrize("n", sorted({2, 3, *MICRO_BATCH_EDGES}))
 def test_forward_conv_maps_equal_batched_kernel_rows(n, whole_stack, monkeypatch):
     """Determinism contract: a frame's prediction and conv maps do not depend
     on the batch. ``forward`` on each frame alone and ``forward_batch`` on N
     frames, cut into MICRO_BATCH chunks or run as one stack, give the same
-    prediction and the same post-activation conv maps bit for bit."""
+    prediction and the same post-activation conv maps bit for bit. The
+    recorded kernel outputs are read by position, so the chunks run serially."""
     for cfg, ws in _contract_nets():
         x = np.random.default_rng(n).uniform(0.0, 255.0, (n,) + cfg.input_shape).astype(np.float32)
         outputs = []
@@ -420,6 +433,7 @@ def test_forward_conv_maps_equal_batched_kernel_rows(n, whole_stack, monkeypatch
             return z, cols
 
         monkeypatch.setattr(tensor, "conv2d_nhwc", recording)
+        monkeypatch.setattr(network, "CHUNK_THREADS", 1)
         if whole_stack:
             monkeypatch.setattr(network, "MICRO_BATCH", n)
         preds = forward_batch(cfg, ws, x)
@@ -471,6 +485,162 @@ def test_batch_entries_reject_nonfinite_frames(bad, with_normalization):
         forward_batch(cfg, ws, x)
     with pytest.raises(error):
         _loss_and_grads_batch(cfg, ws, x, np.zeros(2, np.float32))
+
+
+# --- chunk threads -----------------------------------------------------------
+
+@pytest.fixture
+def chunk_threads(monkeypatch):
+    """A function ``use(k)`` that makes the batched paths run ``k`` chunk
+    threads on a fresh pool, whose threads are named ``test-chunk``; the
+    pools are shut down at teardown."""
+    pools = []
+
+    def use(k):
+        pool = ThreadPoolExecutor(max_workers=max(1, k - 1), thread_name_prefix="test-chunk")
+        pools.append(pool)
+        monkeypatch.setattr(network, "CHUNK_THREADS", k)
+        monkeypatch.setattr(network, "_POOL", pool)
+
+    yield use
+    for pool in pools:
+        pool.shutdown(wait=True)
+
+
+def _batched_bytes(cfg, ws, x, targets):
+    """Every byte ``forward_batch`` and ``_loss_and_grads_batch`` return."""
+    loss, grads = _loss_and_grads_batch(cfg, ws, x, targets)
+    parts = [forward_batch(cfg, ws, x).tobytes(), np.float64(loss).tobytes()]
+    for i in sorted(grads):
+        parts += [grads[i][0].tobytes(), grads[i][1].tobytes()]
+    return parts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2 * MICRO_BATCH + 1, 32])
+def test_batched_results_are_bit_identical_at_any_chunk_thread_count(n, chunk_threads):
+    """Chunks are reduced in chunk order however many run at once, so the
+    predictions, the loss and every gradient are the same bytes at 1, 2 and
+    3 chunk threads (3 leaves a short last round at most sizes)."""
+    for cfg, ws in _contract_nets():
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.0, 255.0, (n,) + cfg.input_shape).astype(np.float32)
+        targets = rng.uniform(-1.0, 1.0, n).astype(np.float32)
+        results = []
+        for k in (1, 2, 3):
+            chunk_threads(k)
+            results.append(_batched_bytes(cfg, ws, x, targets))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+
+def _pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("test-chunk")]
+
+
+def test_one_chunk_thread_starts_no_pool_thread(chunk_threads):
+    chunk_threads(1)
+    cfg = toy_config()
+    ws = init_weights(cfg, seed=0)
+    x = np.full((2 * MICRO_BATCH + 1,) + cfg.input_shape, 100.0, dtype=np.float32)
+    forward_batch(cfg, ws, x)
+    _loss_and_grads_batch(cfg, ws, x, np.zeros(x.shape[0], np.float32))
+    assert _pool_threads() == []
+    chunk_threads(2)  # the check would see a pool thread
+    forward_batch(cfg, ws, x)
+    assert len(_pool_threads()) == 1
+
+
+@pytest.mark.parametrize("bad", [300.0, np.nan])
+@pytest.mark.parametrize("threads, n, bad_frame", [(2, 2 * MICRO_BATCH, 2 * MICRO_BATCH - 1),
+                                                   (3, 3 * MICRO_BATCH, MICRO_BATCH),
+                                                   (2, 2 * MICRO_BATCH, 0)],
+                         ids=["pool-chunk", "pool-chunk-beside-slow-one", "caller-chunk-beside-slow-one"])
+def test_chunk_error_raises_after_every_chunk_of_its_round(threads, n, bad_frame, bad, chunk_threads, monkeypatch):
+    """A frame out of range in any chunk raises the error the serial loop
+    raises, and only once every chunk started has finished: ``train`` writes
+    the weights in place right after the call. Chunks with good frames are
+    slowed down on pool threads, so one still running would be seen."""
+    cfg = toy_config()
+    ws = load_weights(TOY_WEIGHTS)
+    x = np.random.default_rng(61).uniform(0.0, 255.0, (n,) + cfg.input_shape).astype(np.float32)
+    x[bad_frame, 1, 2, 3] = bad
+    targets = np.zeros(n, np.float32)
+    calls = [(forward_batch, (cfg, ws, x)), (_loss_and_grads_batch, (cfg, ws, x, targets))]
+
+    chunk_threads(1)
+    serial = []
+    for fn, args in calls:
+        with pytest.raises(InputRangeError) as info:
+            fn(*args)
+        serial.append(str(info.value))
+
+    events = []
+    run_batch = network._run_batch
+
+    def recording(cfg, weights, x, want_cache):
+        key = object()
+        events.append(("start", key))
+        try:
+            if threading.current_thread() is not threading.main_thread() and 0.0 <= x.min() <= x.max() <= 255.0:
+                time.sleep(0.05)
+            return run_batch(cfg, weights, x, want_cache)
+        finally:
+            events.append(("end", key))
+
+    monkeypatch.setattr(network, "_run_batch", recording)
+    chunk_threads(threads)
+    for (fn, args), message in zip(calls, serial):
+        events.clear()
+        with pytest.raises(InputRangeError) as info:
+            fn(*args)
+        assert str(info.value) == message
+        started = [key for what, key in events if what == "start"]
+        ended = [key for what, key in events if what == "end"]
+        assert len(started) == threads and sorted(map(id, ended)) == sorted(map(id, started))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_callers_errstate_holds_in_every_chunk(threads, chunk_threads):
+    """An overflow in any chunk follows the caller's ``np.errstate``: raised
+    when asked to raise, silent when asked to ignore, at any thread count."""
+    chunk_threads(threads)
+    cfg = NetworkConfig(1, 1, 1, (fc_layer(1, activation="none"),))
+    ws = ws_from_arrays(cfg, {0: ([3.0e38], [0.0])})
+    x = np.full((2 * MICRO_BATCH, 1, 1, 1), 1.0, dtype=np.float32)
+    x[-1] = 100.0  # overflows float32, in the last chunk
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        forward_batch(cfg, ws, x)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(forward_batch(cfg, ws, x)[-1])
+
+
+@pytest.mark.parametrize("env, cpus, want", [
+    ({}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 1),
+    ({"OMP_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 4, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 8, 2),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+])
+def test_chunk_threads_are_cpus_over_blas_threads(env, cpus, want, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert network._chunk_threads() == want
+
+
+def test_chunk_threads_fall_back_to_cpu_count_without_affinity(monkeypatch):
+    monkeypatch.delattr(network.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(network.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert network._chunk_threads() == 4
 
 
 def _input_grad_loops(dy: np.ndarray, w4: np.ndarray, sh: int, sw: int, in_hw) -> np.ndarray:

@@ -3,12 +3,13 @@ behavioral contracts (zero-rate no-op, memorization, divergence, mirror
 symmetry)."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from visback import network, scenes, training
-from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer
+from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer, toy_config
 from visback.network import forward_batch
 from visback.training import (
     DatasetError,
@@ -394,6 +395,23 @@ def test_train_enters_loss_and_grads_once_per_sgd_step(monkeypatch):
     train(tiny_config(), TrainConfig(batch_size=batch_size, epochs=epochs, seed=4), tiny_dataset(n, seed=6))
     assert len(calls) == epochs * math.ceil(n / batch_size)
     assert sum(calls) == epochs * n
+
+
+def test_seeded_training_is_bit_identical_at_any_chunk_thread_count(monkeypatch):
+    """The SGD step sums its chunks' gradients in chunk order however many
+    chunks run at once, so a seeded run gives the same weight bytes and loss
+    curve at 1 and 2 chunk threads."""
+    cfg = toy_config()
+    dataset = generate_dataset(12, style="mixed", seed=8)
+    runs = []
+    for threads in (1, 2):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            monkeypatch.setattr(network, "CHUNK_THREADS", threads)
+            monkeypatch.setattr(network, "_POOL", pool)
+            weights, losses = train(cfg, TrainConfig(batch_size=2 * network.MICRO_BATCH + 3, epochs=2, seed=5),
+                                    dataset)
+        runs.append(([a.tobytes() for i in sorted(weights.arrays) for a in weights.arrays[i]], losses))
+    assert runs[1] == runs[0]
 
 
 # ------------------------------------------------------- mirror consistency
