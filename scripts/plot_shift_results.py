@@ -19,7 +19,7 @@ def main() -> None:
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError:
-        print("matplotlib is not installed; pip install matplotlib", file=sys.stderr)
+        print("matplotlib is not installed; it comes with the plot extra: pip install .[plot]", file=sys.stderr)
         sys.exit(1)
 
     path = Path(args.csv_path)

@@ -22,6 +22,11 @@ backward reads everything else off those records: the ReLU mask is
   one phase (row % stride_h, col % stride_w) of the input grid add their
   GEMMs into contiguous slices of a dense accumulator, and each phase is
   copied into the strided gradient once.
+* The backward multiplies each ReLU mask into the upstream gradient in place
+  (an inactive unit passes 0 x upstream), and sums a bias gradient with
+  ``sum(axis=0)``. A matrix-vector ``ones @ dyr`` sum ran about 10x faster
+  on a 2-frame `toy` chunk, but it changed the gradient bits, so it is not
+  used.
 * ``forward_batch`` and the loss run their chunks ``CHUNK_THREADS`` at a
   time: the calling thread runs the first chunk of each round and a module
   pool the rest, and a round's results are combined in chunk order before
@@ -338,8 +343,11 @@ def _chunk_loss_and_grads(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
         layer = cfg.layers[i]
         if upstream.ndim < out.ndim:  # from the FC head: (C, H, W) flatten order back to NHWC
             upstream = upstream.reshape(out.transpose(0, 3, 1, 2).shape).transpose(0, 2, 3, 1)
-        if layer.activation == "relu":  # max(z, 0) > 0 exactly where z > 0, NaN included
-            upstream = np.where(out > 0, upstream, np.float32(0.0))
+        if layer.activation == "relu":
+            # max(z, 0) > 0 exactly where z > 0, NaN included; an inactive unit
+            # passes 0 x upstream, exactly 0 for a finite upstream. In place:
+            # upstream is always a fresh array this loop owns
+            np.multiply(upstream, out > 0, out=upstream)
         if cols is None:
             dw = upstream.T @ a_in  # (units, D)
             db = upstream.sum(axis=0)

@@ -16,6 +16,11 @@ right of center. Ground-truth steering is the proportional controller
 in units of inverse turning radius (1/m), positive steering turning right.
 Three visual styles mark the road edge in different ways: painted lines,
 parked cars, or a grass verge.
+
+The warp maps and the YUV conversion run once per SGD step on the whole
+batch. The conversion clamps with ``np.clip``: ``np.maximum`` then
+``np.minimum`` took twice as long (800 against 375-400 us on the 1.27 M
+floats of a 32-frame batch).
 """
 
 from __future__ import annotations
@@ -91,7 +96,8 @@ def _yuv_channels_last(rgb: np.ndarray) -> np.ndarray:
     run this, so a frame converts to the same bits alone or in a batch.
     """
     yuv = rgb.reshape(-1, 3).astype(np.float32) @ _YUV_MATRIX.T
-    yuv += _YUV_OFFSET
+    for c in range(3):  # per-channel adds: an (N, 3) + (3,) broadcast add is slower
+        yuv[:, c] += _YUV_OFFSET[c]
     np.clip(yuv, 0.0, 255.0, out=yuv)
     return yuv.reshape(rgb.shape)
 
@@ -231,18 +237,26 @@ def render_scene(p: SceneParams, width: int = 200, height: int = 66) -> LabeledF
 
 # --- lateral viewpoint warp --------------------------------------------------
 
-def lateral_source_columns(height: int, width: int, shift_m: float) -> np.ndarray:
+def lateral_source_columns(height: int, width: int, shift_m) -> np.ndarray:
     """(H, W) int source-column map realizing a lateral camera shift.
 
     A camera moved shift_m to the right sees ground content displaced left by
     shift_m * (v - v_horizon) / camera_height pixels at image row v (the focal
     length cancels); sky rows stay put. Columns pulled from outside the frame
     clamp to the nearest edge.
+
+    ``shift_m`` may also be an array of shifts, shape S; the maps then come
+    back stacked, shape S + (H, W), each the bytes of its scalar call, so
+    ``training._augment_batch`` makes one call per batch. A non-finite shift
+    raises ``ValueError``.
     """
+    shift = np.asarray(shift_m, dtype=np.float64)
+    if not np.isfinite(shift).all():
+        raise ValueError(f"lateral shift must be finite, got {shift_m!r}")
     v_h = HORIZON_FRAC * height
     v_centers = np.arange(height, dtype=np.float64) + 0.5
-    du = np.where(v_centers > v_h, shift_m * (v_centers - v_h) / CAMERA_HEIGHT_M, 0.0)
+    du = np.where(v_centers > v_h, shift[..., None] * (v_centers - v_h) / CAMERA_HEIGHT_M, 0.0)
     k = np.rint(-du).astype(np.int64)  # content shift per row, signed
     cols = np.arange(width, dtype=np.int64)
-    src = cols[None, :] - k[:, None]
+    src = cols - k[..., None]
     return np.clip(src, 0, width - 1)

@@ -8,6 +8,11 @@ are plain (H, W) arrays. ``conv2d_nhwc`` is the one convolution kernel, on
 through, with the flat weights a ``WeightSet`` stores. ``deconv_upscale`` is
 the mask's unit-weight transposed convolution on a single (h, w) map.
 Operations are pure: they never mutate their inputs.
+
+``conv2d_nhwc`` builds its im2col window view with ``as_strided`` and
+strides computed from the shape. ``sliding_window_view`` gives the same
+view, but its Python wrapper costs about 18 us a call, and a `toy` SGD step
+of 32 frames makes 48 calls.
 """
 
 from __future__ import annotations
@@ -111,12 +116,16 @@ def conv2d_nhwc(x: np.ndarray, w4: np.ndarray, b: np.ndarray, g: ConvGeometry):
     The GEMM runs once per frame, so a frame's output does not depend on the
     batch: one GEMM over all N*Ho*Wo rows would let BLAS block by N.
     """
-    x = np.ascontiguousarray(x)  # keeps the reshape below a view
+    x = np.ascontiguousarray(x)  # the window strides below assume C order
     n, h, w, ci = x.shape
     oh, ow = g.output_hw(h, w)
-    win = np.lib.stride_tricks.sliding_window_view(
-        x.reshape(n, h, w * ci), (g.kernel_h, g.kernel_w * ci), axis=(1, 2)
-    )[:, :: g.stride_h, :: g.stride_w * ci]  # (N, Ho, Wo, Kh, Kw*Ci)
+    # strides come from the shape, not x.strides: a contiguous array may keep
+    # any stride on a size-1 axis
+    item, row = x.itemsize, w * ci * x.itemsize
+    win = np.lib.stride_tricks.as_strided(
+        x, (n, oh, ow, g.kernel_h, g.kernel_w * ci),
+        (h * row, g.stride_h * row, g.stride_w * ci * item, row, item),
+    )  # (N, Ho, Wo, Kh, Kw*Ci), a view that is only read
     cols = np.ascontiguousarray(win).reshape(n * oh * ow, -1)
     y = np.matmul(cols.reshape(n, oh * ow, -1), w4.reshape(g.out_channels, -1).T) + b
     return y.reshape(n, oh, ow, g.out_channels), cols

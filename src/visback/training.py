@@ -200,7 +200,7 @@ def _augment_batch(imgs: np.ndarray, labels: np.ndarray,
     with the labels re-aimed by ``OFFSET_GAIN * shift``: the ground truth the
     renderer gives the displaced camera position."""
     b, h, w = imgs.shape[:3]
-    src = np.stack([scenes.lateral_source_columns(h, w, float(s)) for s in shifts])
+    src = scenes.lateral_source_columns(h, w, shifts)  # (B, H, W), one call per batch
     rows = np.arange(b * h, dtype=np.int64).reshape(b, h, 1) * w  # flat pixel index of each row start
     out = np.take(imgs.reshape(-1, 3), (rows + src).reshape(-1), axis=0)
     return out.reshape(imgs.shape), (labels - scenes.OFFSET_GAIN * shifts).astype(np.float32)
@@ -258,8 +258,7 @@ def train(cfg: NetworkConfig, tc: TrainConfig, dataset: FrameDataset) -> tuple[W
 def evaluate_mse(cfg: NetworkConfig, weights: WeightSet, dataset: FrameDataset,
                  batch_size: int = 64) -> float:
     """Mean squared steering error over the un-augmented dataset."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    _check_int("batch_size", batch_size, 1)
     n = len(dataset)
     if n == 0:
         raise DatasetError("cannot evaluate on an empty dataset")

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: the gen/train/explain/shift chain on a
 miniature problem, exit codes for each failure class, and artifact formats."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -99,6 +100,20 @@ def test_run_pipeline_script_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "explain" / "mask.msk").is_file()
     assert (tmp_path / "shift" / "summary.json").is_file()
+
+
+@pytest.mark.skipif(importlib.util.find_spec("matplotlib") is not None, reason="matplotlib is installed")
+def test_plot_script_without_matplotlib_exits_1(tmp_path):
+    """The plot script needs the `plot` extra; without matplotlib it names the
+    missing package and exits 1 instead of failing with a traceback."""
+    csv_path = tmp_path / "shifts.csv"
+    csv_path.write_text("shift_px,steer_class1,steer_class2,steer_all\n0,0.0,0.0,0.0\n")
+    script = SRC.parent / "scripts" / "plot_shift_results.py"
+    proc = subprocess.run([sys.executable, str(script), str(csv_path)],
+                          capture_output=True, text=True, env=_env_with_src(), timeout=60)
+    assert proc.returncode == 1
+    assert "matplotlib is not installed" in proc.stderr
+    assert not (tmp_path / "shifts.png").exists()
 
 
 # ------------------------------------------------------------------------ gen

@@ -340,6 +340,35 @@ def test_backward_gradient_zero_at_exact_fit():
     assert grads.bias(0)[0] == pytest.approx(0.0)
 
 
+def test_relu_inactive_unit_passes_exactly_zero_gradient():
+    """An inactive ReLU unit passes 0 x upstream, so exactly zero for a finite
+    upstream. Biases switch conv channel 1 and FC unit 0 off, and the other
+    units on, for any input: a normalized conv pre-activation before its
+    bias is at most 18 * 0.5 in size, an FC one at most 12 * 19 * 0.5. The layers after
+    them read every unit with nonzero weights, so the dead units' parameters
+    get exactly zero gradient and the live units' do not. Three frames run
+    as two chunks, so the chunk sum is covered too."""
+    cfg = NetworkConfig(2, 6, 7, (
+        LayerSpec(kind="normalization"),
+        conv_layer(2, kernel=3, stride=2, in_channels=2),
+        fc_layer(3),
+        fc_layer(1, activation="none"),
+    ))
+    rng = np.random.default_rng(61)
+    ws = random_weights(cfg, rng)
+    biases = {1: [10.0, -1e3], 2: [-1e3, 1e3, 1e3]}
+    ws = ws_from_arrays(cfg, {i: (w, biases.get(i, b)) for i, (w, b) in ws.arrays.items()})
+    x = rng.uniform(0.0, 255.0, (3,) + cfg.input_shape).astype(np.float32)
+    _, grads = _loss_and_grads_batch(cfg, ws, x, rng.uniform(-1, 1, 3).astype(np.float32))
+    for i, dead in ((1, 1), (2, 0)):
+        dw, db = grads[i]
+        dw = dw.reshape(db.size, -1)
+        assert np.isfinite(dw).all() and np.isfinite(db).all()
+        assert (dw[dead] == 0).all() and db[dead] == 0
+        live = np.arange(db.size) != dead
+        assert (dw[live] != 0).any(axis=1).all() and (db[live] != 0).all()
+
+
 def test_loss_rejects_empty_batch_and_mismatched_targets():
     cfg = toy_config()
     ws = init_weights(cfg, seed=0)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visback.scenes import (
+    _YUV_MATRIX,
+    _YUV_OFFSET,
     CAMERA_HEIGHT_M,
     HEADING_GAIN,
     HORIZON_FRAC,
@@ -14,6 +16,7 @@ from visback.scenes import (
     STYLES,
     LabeledFrame,
     SceneParams,
+    _yuv_channels_last,
     ground_truth_steering,
     lateral_source_columns,
     render_scene,
@@ -139,6 +142,25 @@ def test_rgb_to_yuv_shape_contract():
     assert yuv.dtype == np.float32
 
 
+def test_yuv_equals_clipped_affine_reference():
+    """The converter is clip(rgb @ M.T + offset, 0, 255) to the bit, on the
+    8 corners of the RGB cube, random colours, and float colours outside
+    [0, 255] that drive every channel past both clamps."""
+    rng = np.random.default_rng(17)
+    corners = np.array([[r, g, b] for r in (0, 255) for g in (0, 255) for b in (0, 255)], np.float32)
+    outside = np.array([[-40.0, -40.0, 300.0], [300.0, 300.0, -40.0], [-40.0, 300.0, -40.0],
+                        [300.0, -40.0, 300.0]], np.float32)
+    rgb = np.concatenate([corners, rng.integers(0, 256, (200, 3)).astype(np.float32), outside])
+    unclipped = rgb @ _YUV_MATRIX.T + _YUV_OFFSET
+    assert (unclipped < 0).any(axis=0).all() and (unclipped > 255).any(axis=0).all()
+    want = np.clip(unclipped, 0, 255)
+    got = _yuv_channels_last(rgb)
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    # uint8 input converts like the same values in float32
+    as_uint8 = rgb[:-len(outside)].astype(np.uint8)
+    assert _yuv_channels_last(as_uint8).tobytes() == want[:-len(outside)].tobytes()
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25)
 def test_rgb_yuv_round_trip_within_quantization(seed):
@@ -154,6 +176,25 @@ def test_rgb_yuv_round_trip_within_quantization(seed):
 def test_source_columns_identity_at_zero_shift():
     src = lateral_source_columns(10, 20, 0.0)
     np.testing.assert_array_equal(src, np.tile(np.arange(20), (10, 1)))
+
+
+@pytest.mark.parametrize("shifts", [[0.0, 0.0], [0.6, 0.6], [-0.6], [0.6, -0.6, 0.0, 0.25, -1.3]],
+                         ids=["zero", "plus", "minus", "mixed"])
+def test_source_columns_array_form_equals_stacked_scalar_calls(shifts):
+    arr = np.array(shifts)
+    stacked = np.stack([lateral_source_columns(66, 200, float(s)) for s in shifts])
+    got = lateral_source_columns(66, 200, arr)
+    assert got.shape == stacked.shape and got.dtype == stacked.dtype
+    assert got.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_source_columns_reject_nonfinite_shift(bad):
+    # unchecked, NaN maps every ground row to column 0 with only a RuntimeWarning
+    with pytest.raises(ValueError, match="finite"):
+        lateral_source_columns(66, 200, bad)
+    with pytest.raises(ValueError, match="finite"):
+        lateral_source_columns(66, 200, np.array([0.2, bad]))
 
 
 def test_source_columns_sky_rows_fixed():

@@ -380,6 +380,14 @@ def test_evaluate_mse_rejects_batch_size_below_one(batch_size):
         evaluate_mse(cfg, zero_weights(cfg), tiny_dataset(3, seed=12), batch_size=batch_size)
 
 
+@pytest.mark.parametrize("batch_size", [2.5, "4", True])
+def test_evaluate_mse_rejects_non_integer_batch_size(batch_size):
+    # unchecked, 2.5 and "4" raise a bare TypeError and True runs as 1
+    cfg = tiny_config()
+    with pytest.raises(ValueError, match="batch_size must be an integer"):
+        evaluate_mse(cfg, zero_weights(cfg), tiny_dataset(3, seed=12), batch_size=batch_size)
+
+
 def test_train_enters_loss_and_grads_once_per_sgd_step(monkeypatch):
     """Tools that wrap ``network._loss_and_grads_batch`` see one call per SGD
     step: the micro-batches inside a step do not come back through it."""
