@@ -11,9 +11,19 @@ weights. When asked, the loop keeps one record per conv and FC layer:
 backward reads everything else off those records: the ReLU mask is
 ``output > 0`` and the conv input size is the input's shape.
 
+A (N, C, H, W) batch moves to NHWC one channel plane at a time
+(``a[..., c] = x[:, c]``). ``np.ascontiguousarray`` of the transposed view
+makes the same bytes, but it walks the 3-float pixel rows of the NHWC
+destination one at a time: 100-220 us for a 2-frame 66 x 200 chunk,
+against 30-40 us for three plane copies. The way back, NHWC conv maps to
+(C, H, W) trace maps, stays one transpose copy: there the destination rows
+are long, and per-plane copies of 12-64 channels took 1.3-40x as long.
+
 * ``forward`` runs one image as a batch of one and returns, with the
   prediction, the post-activation map of every conv layer as a (C, H, W)
-  tensor; this trace is what the mask backprojection consumes.
+  tensor; this trace is what the mask backprojection consumes. The loop
+  keeps only those conv outputs, not the full records, so its memory peak
+  is ``forward_batch``'s plus the maps.
 * ``forward_batch``, ``backward`` and the SGD loop run micro-batches of
   ``MICRO_BATCH`` frames, so a chunk's im2col matrices and activations stay
   near the L2 cache. The loss and the parameter gradients are summed over
@@ -98,7 +108,9 @@ def normalize_input(x: np.ndarray) -> np.ndarray:
     lo, hi = float(x.min()), float(x.max())
     if not (lo >= 0.0 and hi <= 255.0):  # also true for NaN
         raise InputRangeError(f"image values must lie in [0, 255], got [{lo}, {hi}]")
-    return x / np.float32(NORMALIZATION_SCALE) - np.float32(1.0)
+    y = x / np.float32(NORMALIZATION_SCALE)
+    y -= np.float32(1.0)  # in place: one temporary, the same bytes
+    return y
 
 
 def _check_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray) -> None:
@@ -116,9 +128,8 @@ def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[Stee
     """Run one image through the network; returns the steering value and the trace."""
     x = image.data[np.newaxis]
     _check_batch(cfg, weights, x)
-    pred, records = _run_batch(cfg, weights, x, want_cache=True)
-    maps = tuple((i, Tensor._wrap(np.ascontiguousarray(out[0].transpose(2, 0, 1))))
-                 for i, _, out, _ in records if cfg.layers[i].kind == "conv")
+    pred, conv_outputs = _run_batch(cfg, weights, x, "conv_outputs")
+    maps = tuple((i, Tensor._wrap(np.ascontiguousarray(out[0].transpose(2, 0, 1)))) for i, out in conv_outputs)
     return SteeringOutput(float(pred[0])), ActivationTrace(maps)
 
 
@@ -242,19 +253,37 @@ def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, i
     return dx
 
 
-def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache: bool):
-    """Forward one micro-batch, (N, C, H, W) float32; returns the (N,)
-    predictions and, if ``want_cache``, one record per conv and FC layer:
+def _to_nhwc(x: np.ndarray) -> np.ndarray:
+    """The (N, C, H, W) batch ``x`` as a C-order float32 NHWC array.
+
+    A batch whose NHWC view already is C-contiguous float32, such as the one
+    ``training._to_yuv_batch`` returns, comes back as that view, with no
+    copy. Any other batch is copied one channel plane at a time (see the
+    module docstring).
+    """
+    a = x.transpose(0, 2, 3, 1)
+    if a.dtype == np.float32 and a.flags.c_contiguous:
+        return a
+    nhwc = np.empty(a.shape, dtype=np.float32)
+    for c in range(x.shape[1]):
+        nhwc[..., c] = x[:, c]
+    return nhwc
+
+
+def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, keep: str | None):
+    """Forward one micro-batch, (N, C, H, W); returns the (N,) predictions
+    and what ``keep`` asks the loop to hold on to: nothing for None; for
+    ``"conv_outputs"`` the (layer index, NHWC post-activation output) of each
+    conv layer; for ``"records"`` one record per conv and FC layer:
     (layer index, input, post-activation output, im2col matrix or None).
 
-    Conv activations are NHWC. A batch whose memory already is NHWC, such as
-    the view ``training._to_yuv_batch`` returns, enters without a copy, so it
-    must not be written to. An FC layer runs one matrix-vector product per
-    row, so that no row depends on the others (an (N, D) GEMM lets BLAS
-    block by N).
+    Conv activations are NHWC. A batch whose memory already is NHWC enters
+    without a copy, so it must not be written to. An FC layer runs one
+    matrix-vector product per row, so that no row depends on the others (an
+    (N, D) GEMM lets BLAS block by N).
     """
-    a = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float32)
-    records: list[tuple] | None = [] if want_cache else None
+    a = _to_nhwc(x)
+    kept: list[tuple] | None = [] if keep else None
     for i, layer in enumerate(cfg.layers):
         if layer.kind == "normalization":
             a = normalize_input(a)
@@ -268,10 +297,12 @@ def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, want_cache
             out, cols = (a[:, np.newaxis] @ w2.T)[:, 0] + weights.bias(i), None
         if layer.activation == "relu":
             np.maximum(out, np.float32(0.0), out=out)
-        if records is not None:
-            records.append((i, a, out, cols))
+        if keep == "records":
+            kept.append((i, a, out, cols))
+        elif keep == "conv_outputs" and layer.kind == "conv":
+            kept.append((i, out))
         a = out
-    return a.reshape(-1), records
+    return a.reshape(-1), kept
 
 
 def forward_batch(cfg: NetworkConfig, weights: WeightSet, images: np.ndarray) -> np.ndarray:
@@ -284,7 +315,7 @@ def forward_batch(cfg: NetworkConfig, weights: WeightSet, images: np.ndarray) ->
     preds = np.empty(x.shape[0], dtype=np.float32)
 
     def run_chunk(lo):
-        return _run_batch(cfg, weights, x[lo : lo + MICRO_BATCH], want_cache=False)[0]
+        return _run_batch(cfg, weights, x[lo : lo + MICRO_BATCH], None)[0]
 
     for lo, chunk in _chunk_results(run_chunk, x.shape[0]):
         preds[lo : lo + MICRO_BATCH] = chunk
@@ -332,7 +363,7 @@ def _chunk_loss_and_grads(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
     errors and its parameter gradients, with ``scale`` (2 / whole-batch N)
     as the loss gradient per unit of prediction error."""
     n = x.shape[0]
-    preds, records = _run_batch(cfg, weights, x, want_cache=True)
+    preds, records = _run_batch(cfg, weights, x, "records")
     diff = preds - targets.astype(np.float32)
     sq = float(np.sum(diff.astype(np.float64) ** 2))
 

@@ -119,6 +119,44 @@ def test_dilate_huge_radius_is_clamped_to_the_map(cells):
     np.testing.assert_array_equal(out, dilate_loops(m, reach))
 
 
+@pytest.mark.parametrize("density", [0.05, 0.3, 0.8])
+@pytest.mark.parametrize("radius", [0, 1, 8, 30, "max", 10**7])
+def test_dilate_counts_match_the_window_scan_at_any_radius(radius, density):
+    """The cumulative-count dilation equals the brute-force window scan from
+    r = 0 to past the map. Any radius of at least max(H, W) covers the whole
+    map, so the scan runs at max(H, W) there; the huge radius stays under
+    the 1 MB bound of the clamp test above."""
+    m = np.random.default_rng(int(density * 100)).uniform(size=(9, 13)) < density
+    reach = max(m.shape)
+    r = reach if radius == "max" else radius
+    tracemalloc.start()
+    try:
+        out = dilate(m, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert out.dtype == np.bool_ and out.shape == m.shape
+    np.testing.assert_array_equal(out, dilate_loops(m, min(r, reach)))
+
+
+@pytest.mark.parametrize("radius", [2.5, 2.0, True, "3", None])
+def test_dilate_and_segment_reject_a_non_integer_radius(radius):
+    m = np.zeros((3, 4), dtype=bool)
+    m[1, 1] = True
+    with pytest.raises(ValueError, match="radius"):
+        dilate(m, radius)
+    with pytest.raises(ValueError, match="radius"):
+        segment(vmask(m.astype(np.float32)), t=0.2, radius=radius)
+
+
+def test_dilate_accepts_numpy_integer_radius():
+    m = np.zeros((5, 5), dtype=bool)
+    m[2, 2] = True
+    for r in (np.int64(1), np.int32(1), np.uint8(1)):
+        np.testing.assert_array_equal(dilate(m, r), dilate(m, 1))
+
+
 def test_dilate_rejects_nonbinary_and_negative_radius():
     with pytest.raises(ValueError):
         dilate(np.array([[0.5]]), 1)
@@ -241,6 +279,50 @@ def test_shift_class_composites_over_unmoved_frame():
     src = region.astype(bool)
     want[:, dx:][src[:, : 9 - dx]] = img[0][:, : 9 - dx][src[:, : 9 - dx]]
     np.testing.assert_array_equal(out, want)
+
+
+def _where_reference(img, class1, which, dx):
+    """A class shift as an ``np.where`` composite over a copy of the frame;
+    a full-frame shift as a gather from clipped source columns."""
+    w = img.shape[2]
+    if which == "all":
+        return img[:, :, np.clip(np.arange(w) - dx, 0, w - 1)]
+    region = class1 if which == "class1" else ~class1
+    dest, src = (slice(dx, w), slice(0, w - dx)) if dx > 0 else (slice(0, w + dx), slice(-dx, w))
+    out = img.copy()
+    out[:, :, dest] = np.where(region[:, src], img[:, :, src], out[:, :, dest])
+    return out
+
+
+@pytest.mark.parametrize("maps", ["empty", "full", "random"])
+def test_shift_class_equals_where_reference(maps):
+    rng = np.random.default_rng(13)
+    img = rng.uniform(0, 255, (3, 5, 48)).astype(np.float32)
+    class1 = {"empty": np.zeros((5, 48), dtype=bool), "full": np.ones((5, 48), dtype=bool),
+              "random": rng.uniform(size=(5, 48)) > 0.5}[maps]
+    for mode in MODES:
+        for dx in (-40, -4, 4, 40):
+            got = shift_class(Tensor(img), class1, mode, dx).data
+            assert got.dtype == np.float32 and got.flags.c_contiguous
+            assert got.tobytes() == _where_reference(img, class1, mode, dx).tobytes()
+
+
+@pytest.mark.parametrize("dx", [2.5, 2.0, True, "2", None])
+def test_shift_class_rejects_a_non_integer_dx(dx):
+    img = Tensor(np.zeros((1, 2, 6), dtype=np.float32))
+    s = np.zeros((2, 6), dtype=bool)
+    for mode in MODES:
+        with pytest.raises(ValueError, match="dx"):
+            shift_class(img, s, mode, dx)
+
+
+def test_shift_class_accepts_numpy_integer_dx():
+    img = Tensor(np.arange(6, dtype=np.float32).reshape(1, 1, 6))
+    s = np.zeros((1, 6), dtype=bool)
+    s[0, 1] = True
+    for dx in (np.int64(2), np.int32(2), np.int8(-2)):
+        for mode in MODES:
+            np.testing.assert_array_equal(shift_class(img, s, mode, dx).data, shift_class(img, s, mode, int(dx)).data)
 
 
 def test_shift_rejects_out_of_range_dx_and_bad_mode():

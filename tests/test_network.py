@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from conftest import oracle_layers, random_conv_config, random_image, random_weights
 from oracles import conv2d_loops, fd_loss_gradients, forward_loops, loss_loops
 from visback import config as config_module
-from visback import network, tensor
+from visback import network, tensor, training
 from visback.config import (
     ConfigError,
     LayerSpec,
@@ -398,9 +399,9 @@ def test_micro_batch_edges_match_per_frame_results(n, monkeypatch):
     chunks = []
     run_batch = network._run_batch
 
-    def recording(cfg, weights, x, want_cache):
+    def recording(cfg, weights, x, keep):
         chunks.append(x.shape[0])
-        return run_batch(cfg, weights, x, want_cache)
+        return run_batch(cfg, weights, x, keep)
 
     monkeypatch.setattr(network, "_run_batch", recording)
     monkeypatch.setattr(network, "CHUNK_THREADS", 1)
@@ -490,13 +491,80 @@ def test_forward_is_one_run_batch_call_on_a_batch_of_one(monkeypatch):
     calls = []
     run_batch = network._run_batch
 
-    def recording(cfg, weights, x, want_cache):
+    def recording(cfg, weights, x, keep):
         calls.append(x.shape)
-        return run_batch(cfg, weights, x, want_cache)
+        return run_batch(cfg, weights, x, keep)
 
     monkeypatch.setattr(network, "_run_batch", recording)
     forward(cfg, ws, random_image(cfg, np.random.default_rng(3)))
     assert calls == [(1,) + cfg.input_shape]
+
+
+BATCH_LAYOUTS = {
+    "c_order": lambda stack: stack,
+    "nhwc_view": lambda stack: np.ascontiguousarray(stack.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+    "strided": lambda stack: np.repeat(stack, 2, axis=0)[::2],
+    "float64": lambda stack: stack.astype(np.float64),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(BATCH_LAYOUTS))
+def test_batch_layout_keeps_predictions_and_maps(layout):
+    """``_run_batch`` copies a batch to NHWC one channel plane at a time,
+    unless its NHWC view already is C-contiguous float32. Whatever the
+    layout or dtype of the (N, C, H, W) batch, the predictions and conv maps
+    are the C-order float32 stack's bit for bit, and each frame's per-frame
+    ``forward`` gives the same prediction and trace maps."""
+    for cfg, ws in _contract_nets():
+        stack = np.random.default_rng(61).uniform(0.0, 255.0, (3,) + cfg.input_shape).astype(np.float32)
+        x = BATCH_LAYOUTS[layout](stack)
+        want_preds, want_maps = network._run_batch(cfg, ws, stack, "conv_outputs")
+        preds, maps = network._run_batch(cfg, ws, x, "conv_outputs")
+        assert preds.dtype == np.float32 and preds.tobytes() == want_preds.tobytes()
+        assert [i for i, _ in maps] == [i for i, _ in want_maps] == list(cfg.conv_indices())
+        for (_, z), (_, want) in zip(maps, want_maps):
+            assert z.dtype == np.float32 and z.tobytes() == want.tobytes()
+        assert forward_batch(cfg, ws, x).tobytes() == want_preds.tobytes()
+        for k in range(x.shape[0]):
+            out, trace = forward(cfg, ws, Tensor(x[k]))
+            assert out.inverse_turning_radius == want_preds[k]
+            for (_, t), (_, want) in zip(trace.conv_entries, want_maps):
+                np.testing.assert_array_equal(t.data, want[k].transpose(2, 0, 1))
+
+
+def test_nhwc_batches_enter_without_a_copy():
+    """The training batch, a transposed view of NHWC float32 memory, reaches
+    the first layer as that memory; a C-order (N, C, H, W) stack is copied."""
+    rgb = np.random.default_rng(67).integers(0, 256, (2, 6, 9, 3), dtype=np.uint8)
+    x = training._to_yuv_batch(rgb)
+    assert np.shares_memory(network._to_nhwc(x), x)
+    stack = np.ascontiguousarray(x)
+    a = network._to_nhwc(stack)
+    assert not np.shares_memory(a, stack) and a.flags.c_contiguous
+    np.testing.assert_array_equal(a, x.transpose(0, 2, 3, 1))
+
+
+def test_forward_memory_peak_is_forward_batchs_plus_its_maps():
+    """``forward`` keeps only the conv outputs it returns, not the backward's
+    records (each im2col matrix), so its ``tracemalloc`` peak on ``default``
+    is at most ``forward_batch``'s on the same frame plus the returned maps."""
+    cfg = default_config()
+    ws = init_weights(cfg, seed=1)
+    image = random_image(cfg, np.random.default_rng(71))
+
+    def peak(run):
+        run()  # warm: the first call may fill caches of its own
+        tracemalloc.start()
+        try:
+            result = run()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    batch_peak, _ = peak(lambda: forward_batch(cfg, ws, image.data[np.newaxis]))
+    forward_peak, (_, trace) = peak(lambda: forward(cfg, ws, image))
+    map_bytes = sum(t.data.nbytes for _, t in trace.conv_entries)
+    assert forward_peak <= batch_peak + map_bytes
 
 
 @pytest.mark.parametrize("with_normalization", [True, False], ids=["normalized", "raw"])
@@ -606,13 +674,13 @@ def test_chunk_error_raises_after_every_chunk_of_its_round(threads, n, bad_frame
     events = []
     run_batch = network._run_batch
 
-    def recording(cfg, weights, x, want_cache):
+    def recording(cfg, weights, x, keep):
         key = object()
         events.append(("start", key))
         try:
             if threading.current_thread() is not threading.main_thread() and 0.0 <= x.min() <= x.max() <= 255.0:
                 time.sleep(0.05)
-            return run_batch(cfg, weights, x, want_cache)
+            return run_batch(cfg, weights, x, keep)
         finally:
             events.append(("end", key))
 
