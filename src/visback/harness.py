@@ -35,15 +35,16 @@ from .tensor import ShapeError, Tensor
 from .weights import WeightSet
 
 DEFAULT_THRESHOLD = 0.2
-DEFAULT_DILATION_RADIUS = 30  # tuned for 200-px-wide input
+DILATION_BASE_WIDTH = 200  # input width the default radius was tuned for
+DEFAULT_DILATION_RADIUS = 30
 DEFAULT_SHIFTS = tuple(range(-40, 41, 4))
 
 MODES = ("class1", "class2", "all")
 
 
-def scaled_dilation_radius(width: int, base_radius: int = DEFAULT_DILATION_RADIUS, base_width: int = 200) -> int:
-    """Dilation radius proportional to image width (30 px is calibrated for 200)."""
-    return int(round(base_radius * width / base_width))
+def scaled_dilation_radius(width: int) -> int:
+    """The default dilation radius scaled to an image ``width`` px wide."""
+    return round(DEFAULT_DILATION_RADIUS * width / DILATION_BASE_WIDTH)
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,6 @@ class ShiftExperimentResult:
     steer_all: tuple[float, ...]
     fits: tuple[LineFit, ...]  # one least-squares line per mode, in MODES order
     class1_fraction: float  # share of the frame's pixels in Class 1
-
-    def series(self, mode: str) -> tuple[float, ...]:
-        return {"class1": self.steer_class1, "class2": self.steer_class2, "all": self.steer_all}[mode]
 
     def fit(self, mode: str) -> LineFit:
         return self.fits[MODES.index(mode)]
@@ -106,13 +104,14 @@ def _dilate_axis(m: np.ndarray, radius: int, axis: int) -> np.ndarray:
 def dilate(binary: np.ndarray, radius: int) -> np.ndarray:
     """Square (Chebyshev-ball) binary dilation with a (2r+1)x(2r+1) window.
 
-    Takes and returns an (H, W) bool map. Separable: a horizontal 1-D
-    dilation followed by a vertical one is exactly the square-window dilation.
-    Each pass counts True pixels with a cumulative sum instead of scanning a
-    (2r+1)-wide window view, so r = 30 on a 66 x 200 map costs what r = 1
-    does. A radius of max(H, W) already spreads any True pixel over the
-    whole map, so larger radii are clamped to it. ``radius`` must be a
-    non-negative integer (numpy integers too, not bool), else ``ValueError``.
+    Takes an (H, W) bool map and returns a new one, at r = 0 too. Separable:
+    a horizontal 1-D dilation followed by a vertical one is exactly the
+    square-window dilation. Each pass counts True pixels with a cumulative
+    sum instead of scanning a (2r+1)-wide window view, so r = 30 on a
+    66 x 200 map costs what r = 1 does. A radius of max(H, W) already
+    spreads any True pixel over the whole map, so larger radii are clamped
+    to it. ``radius`` must be a non-negative integer (numpy integers too,
+    not bool), else ``ValueError``.
     """
     if isinstance(radius, bool) or not isinstance(radius, numbers.Integral):
         raise ValueError(f"radius must be an integer, got {radius!r}")
@@ -120,7 +119,7 @@ def dilate(binary: np.ndarray, radius: int) -> np.ndarray:
         raise ValueError(f"radius must be >= 0, got {radius}")
     _check_bool_map(binary, "dilate's input")
     if radius == 0:
-        return binary
+        return binary.copy()
     radius = min(int(radius), max(binary.shape))
     return _dilate_axis(_dilate_axis(binary, radius, axis=1), radius, axis=0)
 
@@ -227,11 +226,12 @@ def run_shift_experiment(cfg: NetworkConfig, weights: WeightSet, image: Tensor,
     frames of each mode are stacked and scored by one ``network.forward_batch``,
     which is batch-invariant, so those rows equal per-frame forwards too. Raises
     ``NonFiniteOutputError`` if any prediction is NaN or infinite, and
-    ``ValueError`` for a shift that is not an integer.
+    ``ValueError`` for a shift that is not an integer (numpy integers pass,
+    bool does not), as in ``shift_class``.
     """
     shifts = tuple(shifts)
     for s in shifts:
-        if not isinstance(s, numbers.Integral):
+        if isinstance(s, bool) or not isinstance(s, numbers.Integral):
             raise ValueError(f"shifts must be integers, got {s!r}")
     _check_class_map(class1, image)
     shift_list = sorted(set(int(s) for s in shifts))

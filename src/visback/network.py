@@ -24,7 +24,7 @@ are long, and per-plane copies of 12-64 channels took 1.3-40x as long.
   tensor; this trace is what the mask backprojection consumes. The loop
   keeps only those conv outputs, not the full records, so its memory peak
   is ``forward_batch``'s plus the maps.
-* ``forward_batch``, ``backward`` and the SGD loop run micro-batches of
+* ``forward_batch`` and the SGD loss run micro-batches of
   ``MICRO_BATCH`` frames, so a chunk's im2col matrices and activations stay
   near the L2 cache. The loss and the parameter gradients are summed over
   the chunks with the whole batch's ``2/N`` scale. The input gradient of a
@@ -394,13 +394,3 @@ def _chunk_loss_and_grads(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
             upstream = _conv_input_grad(dyr, nhwc_kernel(weights.weight(i), g), g, n,
                                         a_in.shape[1:3], out.shape[1:3])
     return sq, grads
-
-
-def backward(cfg: NetworkConfig, weights: WeightSet, image: Tensor, target: float):
-    """Squared-error loss for one image and its gradient as a WeightSet.
-
-    loss = (prediction - target)^2; the normalization layer gets no gradient.
-    Returns (gradients, loss).
-    """
-    loss, grads = _loss_and_grads_batch(cfg, weights, image.data[np.newaxis], np.asarray([target]))
-    return WeightSet(cfg, grads), loss

@@ -111,19 +111,6 @@ def rgb_to_yuv(rgb: np.ndarray) -> np.ndarray:
     return _yuv_channels_last(arr).transpose(2, 0, 1)
 
 
-def yuv_to_rgb(yuv: np.ndarray) -> np.ndarray:
-    """(3, H, W) float YUV -> (H, W, 3) uint8 RGB (inverse of rgb_to_yuv up to rounding)."""
-    arr = np.asarray(yuv, dtype=np.float32)
-    if arr.ndim != 3 or arr.shape[0] != 3:
-        raise ValueError(f"expected (3, H, W), got {arr.shape}")
-    y, u, v = arr[0], arr[1] - 128.0, arr[2] - 128.0
-    r = y + 1.402 * v
-    g = y - 0.344136 * u - 0.714136 * v
-    b = y + 1.772 * u
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
-
-
 def _ground_geometry(width: int, height: int):
     """Per-row depth and per-pixel lateral position for the below-horizon rows."""
     v_h = HORIZON_FRAC * height
@@ -225,14 +212,6 @@ def _draw_parked_cars(img: np.ndarray, p: SceneParams, rng: np.random.Generator,
         if r1 - r0 > 2 and c1 - c0 > 2:  # window band
             wr = r0 + max(1, (r1 - r0) // 4)
             img[r0:wr, c0 + 1 : c1 - 1] = shade * 0.55
-
-
-def render_scene(p: SceneParams, width: int = 200, height: int = 66) -> LabeledFrame:
-    """Network-ready frame: YUV tensor plus the ground-truth steering label."""
-    rgb = render_scene_rgb(p, width, height)
-    yuv = rgb_to_yuv(rgb)
-    label = ground_truth_steering(p.lane_offset, p.heading, p.curvature)
-    return LabeledFrame(Tensor(yuv), label)
 
 
 # --- lateral viewpoint warp --------------------------------------------------

@@ -64,10 +64,6 @@ class Tensor:
         return t
 
     @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def height(self) -> int:
         return self.data.shape[1]
 

@@ -10,8 +10,7 @@ File layout (all integers little-endian):
         u32 bias count,   then that many float32 biases
     crc32            u32 over every preceding byte
 
-The normalization layer has no parameters and therefore no record. Gradient
-sets reuse the same container, so a WeightSet is also what backward returns.
+The normalization layer has no parameters and therefore no record.
 """
 
 from __future__ import annotations
@@ -88,11 +87,6 @@ class WeightSet:
 
     def bias(self, index: int) -> np.ndarray:
         return self.arrays[index][1]
-
-
-def zero_weights(cfg: NetworkConfig) -> WeightSet:
-    shapes = parameter_shapes(cfg)
-    return WeightSet(cfg, {i: (np.zeros(w, np.float32), np.zeros(b, np.float32)) for i, (w, b) in shapes.items()})
 
 
 def init_weights(cfg: NetworkConfig, seed: int) -> WeightSet:

@@ -54,6 +54,11 @@ def random_weights(cfg: NetworkConfig, rng: np.random.Generator, scale: float = 
     return WeightSet(config=cfg, arrays=arrays)
 
 
+def zero_weights(cfg: NetworkConfig) -> WeightSet:
+    shapes = parameter_shapes(cfg).items()
+    return WeightSet(cfg, {i: (np.zeros(w, np.float32), np.zeros(b, np.float32)) for i, (w, b) in shapes})
+
+
 def random_image(cfg: NetworkConfig, rng: np.random.Generator) -> Tensor:
     data = rng.uniform(0.0, 255.0, size=cfg.input_shape).astype(np.float32)
     return Tensor(data)

@@ -27,7 +27,7 @@ from visback.harness import (
     scaled_dilation_radius,
     segment,
 )
-from visback.network import ActivationTrace, backward, forward
+from visback.network import ActivationTrace, _loss_and_grads_batch, forward
 from visback.saliency import compute_mask
 from visback.tensor import Tensor, conv2d
 from visback.training import FrameDataset, TrainConfig, generate_dataset, sample_scene_params, train
@@ -184,11 +184,11 @@ def _loss_at(cfg, arrays, img, target):
 
 
 def _fd_relative_error(cfg, ws, img, target, eps):
-    grads, _ = backward(cfg, ws, img, target)
+    _, grads = _loss_and_grads_batch(cfg, ws, img.data[np.newaxis], np.asarray([target]))
     fd_all, an_all = [], []
     for i, (w, b) in sorted(ws.arrays.items()):
         for which, arr in (("w", w), ("b", b)):
-            analytic = grads.weight(i) if which == "w" else grads.bias(i)
+            analytic = grads[i][0] if which == "w" else grads[i][1]
             for j in range(arr.size):
                 plus = {k: (ww.copy(), bb.copy()) for k, (ww, bb) in ws.arrays.items()}
                 minus = {k: (ww.copy(), bb.copy()) for k, (ww, bb) in ws.arrays.items()}
@@ -256,11 +256,11 @@ def test_acceptance_6_shift_response_localized_to_salient_class(trained_model):
     r_squared_class1 = []
     for _ in range(20):
         params = sample_scene_params(rng)
-        frame = scenes.render_scene(params, cfg.input_width, cfg.input_height)
-        _, trace = forward(cfg, weights, frame.image_yuv)
+        image = Tensor(scenes.rgb_to_yuv(scenes.render_scene_rgb(params, cfg.input_width, cfg.input_height)))
+        _, trace = forward(cfg, weights, image)
         mask, _ = compute_mask(trace, cfg)
         seg = segment(mask, t=DEFAULT_THRESHOLD, radius=radius)
-        result = run_shift_experiment(cfg, weights, frame.image_yuv, seg, DEFAULT_SHIFTS)
+        result = run_shift_experiment(cfg, weights, image, seg, DEFAULT_SHIFTS)
         for mode in slopes:
             slopes[mode].append(abs(result.fit(mode).slope))
         r_squared_class1.append(result.fit("class1").r_squared)

