@@ -13,11 +13,10 @@ a misspelled key is an error, not a silently applied default.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
-from .tensor import ConvGeometry
+from .tensor import ConvGeometry, as_int
 
 LAYER_KINDS = ("normalization", "conv", "fully_connected")
 ACTIVATIONS = ("relu", "none")
@@ -25,14 +24,6 @@ ACTIVATIONS = ("relu", "none")
 
 class ConfigError(ValueError):
     """Raised when a network config is internally inconsistent."""
-
-
-def _int_field(value, field: str):
-    """``value`` if it is an integer (numpy integers too, bool not); a float,
-    bool or string is refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{field} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -49,8 +40,8 @@ class LayerSpec:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.kind == "conv" and self.geometry is None:
             raise ConfigError("conv layer requires a geometry")
-        if self.kind == "fully_connected" and (self.units is None or _int_field(self.units, "units") < 1):
-            raise ConfigError("fully_connected layer requires units >= 1")
+        if self.kind == "fully_connected":
+            object.__setattr__(self, "units", as_int(self.units, "units", 1, ConfigError))
         if self.kind != "conv" and self.geometry is not None:
             raise ConfigError(f"{self.kind} layer must not carry a geometry")
         if self.kind != "fully_connected" and self.units is not None:
@@ -83,7 +74,7 @@ class NetworkConfig:
 
     def __post_init__(self):
         for name in ("input_channels", "input_height", "input_width"):
-            _int_field(getattr(self, name), name)
+            object.__setattr__(self, name, as_int(getattr(self, name), name, 1, ConfigError))
         object.__setattr__(self, "layers", tuple(self.layers))
 
     @property
@@ -108,8 +99,6 @@ def validate_config(cfg: NetworkConfig) -> list[LayerShape]:
 
     Raises ConfigError naming the first offending layer.
     """
-    if min(cfg.input_shape) < 1:
-        raise ConfigError(f"input shape must be positive, got {cfg.input_shape}")
     if not cfg.layers:
         raise ConfigError("config has no layers")
 
@@ -246,19 +235,19 @@ def config_from_dict(d: dict) -> NetworkConfig:
             entry = {**entry}
             kind = entry.pop("kind")
             if kind == "conv":
-                kh, kw = (_int_field(v, f"layer {i} kernel") for v in entry.pop("kernel"))
-                sh, sw = (_int_field(v, f"layer {i} stride") for v in entry.pop("stride"))
+                kh, kw = (as_int(v, f"layer {i} kernel", error=ConfigError) for v in entry.pop("kernel"))
+                sh, sw = (as_int(v, f"layer {i} stride", error=ConfigError) for v in entry.pop("stride"))
                 geom = ConvGeometry(
                     kernel_h=kh,
                     kernel_w=kw,
                     stride_h=sh,
                     stride_w=sw,
-                    in_channels=_int_field(entry.pop("in_channels"), f"layer {i} in_channels"),
-                    out_channels=_int_field(entry.pop("out_channels"), f"layer {i} out_channels"),
+                    in_channels=as_int(entry.pop("in_channels"), f"layer {i} in_channels", error=ConfigError),
+                    out_channels=as_int(entry.pop("out_channels"), f"layer {i} out_channels", error=ConfigError),
                 )
                 layers.append(LayerSpec(kind="conv", geometry=geom, activation=entry.pop("activation", "none")))
             elif kind == "fully_connected":
-                units = _int_field(entry.pop("units"), f"layer {i} units")
+                units = as_int(entry.pop("units"), f"layer {i} units", error=ConfigError)
                 layers.append(LayerSpec(kind="fully_connected", units=units, activation=entry.pop("activation", "none")))
             elif kind == "normalization":
                 layers.append(LayerSpec(kind="normalization"))

@@ -23,7 +23,6 @@ an ``np.where`` temporary.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from . import network
 from .config import NetworkConfig
 from .saliency import VisualizationMask
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, as_int
 from .weights import WeightSet
 
 DEFAULT_THRESHOLD = 0.2
@@ -110,17 +109,13 @@ def dilate(binary: np.ndarray, radius: int) -> np.ndarray:
     sum instead of scanning a (2r+1)-wide window view, so r = 30 on a
     66 x 200 map costs what r = 1 does. A radius of max(H, W) already
     spreads any True pixel over the whole map, so larger radii are clamped
-    to it. ``radius`` must be a non-negative integer (numpy integers too,
-    not bool), else ``ValueError``.
+    to it. ``radius`` goes through ``as_int`` with minimum 0.
     """
-    if isinstance(radius, bool) or not isinstance(radius, numbers.Integral):
-        raise ValueError(f"radius must be an integer, got {radius!r}")
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    radius = as_int(radius, "radius", 0)
     _check_bool_map(binary, "dilate's input")
     if radius == 0:
         return binary.copy()
-    radius = min(int(radius), max(binary.shape))
+    radius = min(radius, max(binary.shape))
     return _dilate_axis(_dilate_axis(binary, radius, axis=1), radius, axis=0)
 
 
@@ -148,8 +143,7 @@ def shift_class(image: Tensor, class1: np.ndarray, which: str, dx: int) -> Tenso
     shifts composite the moved pixels over the untouched frame: vacated
     positions keep the original pixel values and pixels pushed past the border
     are dropped. A full-frame shift replicates the edge column into the gap.
-    ``dx`` must be an integer (numpy integers too, not bool), else
-    ``ValueError``.
+    ``dx`` goes through ``as_int``; at dx = 0 both branches copy the frame.
 
     A class shift copies the frame once and writes the moved pixels over it
     with ``np.copyto(..., where=moved)``; a full-frame shift writes every
@@ -158,18 +152,13 @@ def shift_class(image: Tensor, class1: np.ndarray, which: str, dx: int) -> Tenso
     """
     if which not in MODES:
         raise ValueError(f"which must be one of {MODES}, got {which!r}")
-    if isinstance(dx, bool) or not isinstance(dx, numbers.Integral):
-        raise ValueError(f"dx must be an integer, got {dx!r}")
-    dx = int(dx)  # a numpy integer's abs() and negation can wrap
+    dx = as_int(dx, "dx")
     _check_class_map(class1, image)
     w = image.width
     if abs(dx) >= w:
         raise ValueError(f"|dx| must be smaller than the image width {w}, got {dx}")
 
     img = image.data
-    if dx == 0:
-        return Tensor._wrap(img.copy())
-
     if which == "all":
         out = np.empty_like(img)
         if dx > 0:
@@ -226,15 +215,13 @@ def run_shift_experiment(cfg: NetworkConfig, weights: WeightSet, image: Tensor,
     frames of each mode are stacked and scored by one ``network.forward_batch``,
     which is batch-invariant, so those rows equal per-frame forwards too. Raises
     ``NonFiniteOutputError`` if any prediction is NaN or infinite, and
-    ``ValueError`` for a shift that is not an integer (numpy integers pass,
-    bool does not), as in ``shift_class``.
+    ``ValueError`` for a shift that ``as_int`` refuses.
     """
-    shifts = tuple(shifts)
-    for s in shifts:
-        if isinstance(s, bool) or not isinstance(s, numbers.Integral):
-            raise ValueError(f"shifts must be integers, got {s!r}")
+    try:
+        shift_list = sorted({as_int(s, "shift") for s in shifts})
+    except ValueError as exc:
+        raise ValueError(f"shifts must be integers: {exc}") from None
     _check_class_map(class1, image)
-    shift_list = sorted(set(int(s) for s in shifts))
     if 0 not in shift_list:
         raise ValueError("the shift list must include 0 (the unperturbed frame)")
     moved = [dx for dx in shift_list if dx != 0]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, as_int
 
 CAMERA_HEIGHT_M = 1.2
 HORIZON_FRAC = 0.35      # horizon row as a fraction of image height
@@ -59,6 +59,7 @@ class SceneParams:
         for name in ("lane_offset", "heading", "curvature"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)

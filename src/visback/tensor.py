@@ -76,6 +76,17 @@ class Tensor:
         return self.data.shape
 
 
+def as_int(value, name: str, minimum: int | None = None, error: type[Exception] = ValueError) -> int:
+    """The one integer rule for sizes, seeds, shifts and radii: ``value`` as a
+    plain ``int``. Integers pass, numpy integers too; a float, a bool, a
+    string or a value below ``minimum`` raises ``error`` naming ``name``.
+    The plain ``int`` keeps JSON writable and products from wrapping."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ConvGeometry:
     """Kernel/stride/channel description of one convolutional layer."""
@@ -89,11 +100,7 @@ class ConvGeometry:
 
     def __post_init__(self):
         for name in ("kernel_h", "kernel_w", "stride_h", "stride_w", "in_channels", "out_channels"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ShapeError(f"ConvGeometry.{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ShapeError(f"ConvGeometry.{name} must be >= 1")
+            object.__setattr__(self, name, as_int(getattr(self, name), f"ConvGeometry.{name}", 1, ShapeError))
 
     def output_hw(self, height: int, width: int) -> tuple[int, int]:
         """Spatial output size of a valid (unpadded) convolution on height x width."""

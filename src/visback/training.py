@@ -11,7 +11,6 @@ triple reproduces the weight trajectory bit for bit.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from . import imageio, network, scenes
 from .config import NetworkConfig
 from .fileutil import atomic_write_text
 from .scenes import STYLES, LabeledFrame, SceneParams
-from .tensor import Tensor
+from .tensor import Tensor, as_int
 from .weights import WeightSet, init_weights
 
 LABELS_FILE = "labels.csv"
@@ -42,14 +41,10 @@ class DivergenceError(RuntimeError):
         self.loss = loss
 
 
-def _check_int(name: str, value, minimum: int) -> None:
-    """An integer (numpy integers included, bool not) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
+    """SGD settings; ``batch_size``, ``epochs`` and ``seed`` go through ``as_int``."""
+
     learning_rate: float = 0.5
     batch_size: int = 32
     epochs: int = 30
@@ -59,9 +54,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        _check_int("batch_size", self.batch_size, 1)
-        _check_int("epochs", self.epochs, 1)
-        _check_int("seed", self.seed, 0)
+        for name, minimum in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, minimum))
         if not (np.isfinite(self.augmentation_shift_range) and self.augmentation_shift_range >= 0.0):
             raise ValueError(f"augmentation_shift_range must be >= 0, got {self.augmentation_shift_range}")
 
@@ -178,10 +172,8 @@ def sample_scene_params(rng: np.random.Generator, style: str = "mixed") -> Scene
 def generate_dataset(n: int, style: str = "mixed", seed: int = 0,
                      width: int = 200, height: int = 66) -> FrameDataset:
     """Render n seeded scenes into a dataset; deterministic in every argument."""
-    _check_int("n", n, 0)
-    _check_int("seed", seed, 0)
-    _check_int("width", width, 1)
-    _check_int("height", height, 1)
+    n, seed = as_int(n, "n", 0), as_int(seed, "seed", 0)
+    width, height = as_int(width, "width", 1), as_int(height, "height", 1)
     if style != "mixed" and style not in STYLES:
         raise ValueError(f"style must be 'mixed' or one of {STYLES}, got {style!r}")
     rng = np.random.default_rng(seed)
@@ -258,7 +250,7 @@ def train(cfg: NetworkConfig, tc: TrainConfig, dataset: FrameDataset) -> tuple[W
 def evaluate_mse(cfg: NetworkConfig, weights: WeightSet, dataset: FrameDataset,
                  batch_size: int = 64) -> float:
     """Mean squared steering error over the un-augmented dataset."""
-    _check_int("batch_size", batch_size, 1)
+    batch_size = as_int(batch_size, "batch_size", 1)
     n = len(dataset)
     if n == 0:
         raise DatasetError("cannot evaluate on an empty dataset")

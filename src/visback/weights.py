@@ -153,13 +153,15 @@ def load_weights(path) -> WeightSet:
     except ConfigError as exc:
         raise WeightFileError(f"{path}: embedded config invalid: {exc}") from exc
 
+    def take_floats(i: int, what: str, expected: int) -> np.ndarray:
+        (n,) = struct.unpack("<I", take(4, f"layer {i} {what} length"))
+        if n != expected:
+            raise WeightFileError(f"{path}: layer {i} declares {n} {what}s, its config needs {expected}")
+        return np.frombuffer(take(4 * n, f"layer {i} {what}s"), dtype="<f4").copy()
+
     arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for i in sorted(shapes):
-        (wlen,) = struct.unpack("<I", take(4, f"layer {i} weight length"))
-        w = np.frombuffer(take(4 * wlen, f"layer {i} weights"), dtype="<f4")
-        (blen,) = struct.unpack("<I", take(4, f"layer {i} bias length"))
-        b = np.frombuffer(take(4 * blen, f"layer {i} biases"), dtype="<f4")
-        arrays[i] = (w.copy(), b.copy())
+    for i, (n_w, n_b) in sorted(shapes.items()):
+        arrays[i] = (take_floats(i, "weight", n_w), take_floats(i, "bias", n_b))
     if pos != len(body):
         raise WeightFileError(f"{path}: {len(body) - pos} trailing bytes after last layer")
 

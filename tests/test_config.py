@@ -3,6 +3,7 @@ checks, and the JSON round trip."""
 
 import json
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from visback.config import (
     validate_config,
 )
 from visback.tensor import ShapeError
-from visback.weights import parameter_shapes
+from visback.weights import init_weights, load_weights, parameter_shapes, save_weights
 
 TOY_WEIGHTS = Path(__file__).resolve().parents[1] / "bench" / "toy_weights.pnw"
 
@@ -150,12 +151,20 @@ def test_conv_geometry_must_be_integers():
         conv_layer(24, kernel=5, stride=True, in_channels=3)
 
 
-def test_numpy_integer_sizes_are_accepted():
+def test_numpy_integer_sizes_are_accepted(tmp_path):
     cfg = NetworkConfig(np.int64(3), np.int32(8), np.int64(8), (
         conv_layer(np.int64(2), kernel=np.int64(3), stride=np.int32(1), in_channels=3),
         fc_layer(np.int64(1), activation="none"),
     ))
     assert [row.output_shape for row in validate_config(cfg)] == [(2, 6, 6), (1,)]
+    # stored as plain ints, so the config and its weights write as JSON and read back
+    path = tmp_path / "w.pnw"
+    save_weights(init_weights(cfg, seed=0), path)
+    for got in (cfg, config_from_dict(json.loads(canonical_json(cfg))), load_weights(path).config):
+        assert got == cfg
+        g = got.layers[0].geometry
+        sizes = [*got.input_shape, got.layers[1].units] + [getattr(g, f.name) for f in fields(g)]
+        assert len(sizes) == 10 and all(type(v) is int for v in sizes)
 
 
 def test_json_round_trip_preserves_config():

@@ -317,7 +317,7 @@ def test_shift_class_equals_where_reference(maps):
     class1 = {"empty": np.zeros((5, 48), dtype=bool), "full": np.ones((5, 48), dtype=bool),
               "random": rng.uniform(size=(5, 48)) > 0.5}[maps]
     for mode in MODES:
-        for dx in (-40, -4, 4, 40):
+        for dx in (-40, -4, 0, 4, 40):
             got = shift_class(Tensor(img), class1, mode, dx).data
             assert got.dtype == np.float32 and got.flags.c_contiguous
             assert got.tobytes() == _where_reference(img, class1, mode, dx).tobytes()

@@ -67,6 +67,18 @@ def test_scene_params_validation():
         params(heading=float("nan"))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_scene_seed_is_checked_at_construction(seed):
+    # unchecked, -1 and 1.5 fail only inside the renderer and True renders as 1
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        params(seed=seed)
+
+
+def test_scene_seed_accepts_numpy_integers():
+    p = params(seed=np.int64(3))
+    assert type(p.seed) is int and p == params(seed=3)
+
+
 # --- rendering ------------------------------------------------------------------
 
 def test_render_deterministic_per_seed():

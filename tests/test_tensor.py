@@ -3,6 +3,8 @@ upscaling, and the mask's channel averaging and min-max normalization (which
 live in ``saliency`` and run on plain arrays). Frozen hand examples plus
 loop-oracle and property checks."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from oracles import channel_mean_loops, conv2d_loops, deconv_loops, normalize01_
 from visback.config import NetworkConfig, conv_layer, fc_layer
 from visback.network import ActivationTrace
 from visback.saliency import compute_mask, normalize_01
-from visback.tensor import ConvGeometry, ShapeError, Tensor, conv2d, deconv_upscale
+from visback.tensor import ConvGeometry, ShapeError, Tensor, as_int, conv2d, deconv_upscale
 
 
 def zeros(*shape):
@@ -33,6 +35,34 @@ def conv_chw(x, weights, g, bias):
 def geom(k, s, cin=1, cout=1):
     return ConvGeometry(kernel_h=k, kernel_w=k, stride_h=s, stride_w=s,
                         in_channels=cin, out_channels=cout)
+
+
+# --- the integer rule --------------------------------------------------------
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.int8(3), np.uint16(3)])
+def test_as_int_returns_a_plain_int(value):
+    got = as_int(value, "n", minimum=3)
+    assert type(got) is int and got == 3
+
+
+@pytest.mark.parametrize("value, minimum, message", [
+    (2.0, None, "n must be an integer, got 2.0"),
+    (True, None, "n must be an integer, got True"),
+    ("2", None, "n must be an integer, got '2'"),
+    (None, 0, "n must be an integer >= 0, got None"),
+    (np.int8(-1), 0, "n must be an integer >= 0, got np.int8(-1)"),
+])
+def test_as_int_refuses_with_the_callers_error(value, minimum, message):
+    with pytest.raises(ShapeError) as info:
+        as_int(value, "n", minimum, ShapeError)
+    assert str(info.value) == message
+
+
+def test_conv_geometry_stores_plain_ints():
+    # np.int8 fields would wrap the weight count's product to 0
+    g = ConvGeometry(*(np.int8(100),) * 6)
+    assert g.weight_count() == 10**8
+    assert all(type(getattr(g, f.name)) is int for f in fields(g))
 
 
 # --- Tensor container ------------------------------------------------------

@@ -174,6 +174,22 @@ def test_invalid_embedded_config_names_the_file(tmp_path):
         load_weights(path)
 
 
+@pytest.mark.parametrize("record, declared, needed", [("weight", 53, 54), ("bias", 1, 2)])
+def test_layer_record_short_of_its_config_names_the_file(tmp_path, record, declared, needed):
+    # a self-consistent record with a valid checksum, one float short of what
+    # the embedded config needs for layer 1 (2 filters of 3x3x3)
+    path = tmp_path / "w.pnw"
+    save_weights(init_weights(_small_net(), seed=0), path)
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 4)
+    at = 8 + n if record == "weight" else 8 + n + 4 + 4 * 54  # the record's u32 length
+    assert struct.unpack_from("<I", blob, at) == (needed,)
+    body = blob[:at] + struct.pack("<I", declared) + blob[at + 4 : at + 4 + 4 * declared] + blob[at + 4 + 4 * needed : -4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(WeightFileError, match=rf"w\.pnw: layer 1 declares {declared} {record}s, its config needs {needed}"):
+        load_weights(path)
+
+
 def test_embedded_config_with_unknown_key_is_rejected(tmp_path):
     # an old file that still declares the output layer's input length, with a
     # correct checksum: the config reader refuses the key it no longer reads
