@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from .fileutil import atomic_write_text
 from .tensor import ConvGeometry, as_int
 
 LAYER_KINDS = ("normalization", "conv", "fully_connected")
@@ -284,6 +285,4 @@ def load_config(path) -> NetworkConfig:
 
 
 def save_config(cfg: NetworkConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write_text(path, json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")

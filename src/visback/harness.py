@@ -113,18 +113,20 @@ def dilate(binary: np.ndarray, radius: int) -> np.ndarray:
     """
     radius = as_int(radius, "radius", 0)
     _check_bool_map(binary, "dilate's input")
-    if radius == 0:
-        return binary.copy()
     radius = min(radius, max(binary.shape))
     return _dilate_axis(_dilate_axis(binary, radius, axis=1), radius, axis=0)
 
 
-def segment(mask: VisualizationMask, t: float = DEFAULT_THRESHOLD,
-            radius: int = DEFAULT_DILATION_RADIUS) -> np.ndarray:
-    """The Class-1 map: the mask thresholded at t, then dilated by radius.
+_SCALED_RADIUS = object()  # segment's default radius; None stays a refused radius
+
+
+def segment(mask: VisualizationMask, t: float = DEFAULT_THRESHOLD, radius: int = _SCALED_RADIUS) -> np.ndarray:
+    """The Class-1 map: the mask thresholded at t, then dilated by radius,
+    by default ``scaled_dilation_radius(mask.width)``.
 
     Returns a read-only (H, W) bool array; Class 2 is its complement.
     """
+    radius = scaled_dilation_radius(mask.width) if radius is _SCALED_RADIUS else radius
     class1 = dilate(threshold_mask(mask, t), radius)
     class1.flags.writeable = False
     return class1

@@ -83,10 +83,18 @@ def _read_pnm(path, magic: bytes, samples_per_pixel: int) -> np.ndarray:
         raise ImageFormatError(f"{path}: raster truncated, need {need} bytes, have {len(raster)}")
     if len(raster) > need:
         raise ImageFormatError(f"{path}: {len(raster) - need} trailing bytes after raster")
-    arr = np.frombuffer(raster, dtype=np.uint8, count=need)
-    if samples_per_pixel == 1:
-        return arr.reshape(height, width).copy()
-    return arr.reshape(height, width, samples_per_pixel).copy()
+    pixel = (samples_per_pixel,) if samples_per_pixel > 1 else ()
+    return np.frombuffer(raster, dtype=np.uint8, count=need).reshape((height, width) + pixel).copy()
+
+
+def _write_pnm(path, arr, magic: bytes, samples_per_pixel: int) -> None:
+    arr = np.asarray(arr)
+    pixel = (samples_per_pixel,) if samples_per_pixel > 1 else ()
+    if arr.ndim != 2 + len(pixel) or arr.shape[2:] != pixel or arr.dtype != np.uint8:
+        dims = ", ".join(["H", "W", *map(str, pixel)])
+        raise ValueError(f"expected ({dims}) uint8, got {arr.shape} {arr.dtype}")
+    header = magic + f"\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
+    atomic_write_bytes(path, header + arr.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -101,20 +109,12 @@ def read_ppm(path) -> np.ndarray:
 
 def write_pgm(path, gray: np.ndarray) -> None:
     """(H, W) uint8 -> binary PGM (P5), maxval 255."""
-    arr = np.asarray(gray)
-    if arr.ndim != 2 or arr.dtype != np.uint8:
-        raise ValueError(f"expected (H, W) uint8, got {arr.shape} {arr.dtype}")
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + arr.tobytes())
+    _write_pnm(path, gray, b"P5", 1)
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
     """(H, W, 3) uint8 -> binary PPM (P6), maxval 255."""
-    arr = np.asarray(rgb)
-    if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
-        raise ValueError(f"expected (H, W, 3) uint8, got {arr.shape} {arr.dtype}")
-    header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + arr.tobytes())
+    _write_pnm(path, rgb, b"P6", 3)
 
 
 def write_mask_dump(path, mask: VisualizationMask) -> None:

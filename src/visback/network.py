@@ -191,33 +191,27 @@ if CHUNK_THREADS > 1:
     _share_malloc_arena()
 
 
-def _chunk_round(run_chunk, starts) -> list:
-    """``run_chunk(lo)`` for each chunk start in ``starts``, the first on the
-    calling thread and the rest on the pool, as a list in chunk order.
-
-    Every chunk of the round has finished before this returns or raises, so
-    none still reads the weights once the caller moves on. A failure raises
-    the first failed chunk's error, as the serial loop would. Pool chunks
-    run in a copy of the caller's context, so the caller's ``np.errstate``
-    holds in them too.
-    """
-    futures = [_POOL.submit(contextvars.copy_context().run, run_chunk, lo) for lo in starts[1:]]
-    try:
-        results = [run_chunk(starts[0])]
-    finally:
-        wait_all(futures)
-    return results + [f.result() for f in futures]
-
-
 def _chunk_results(run_chunk, n: int):
     """Yield ``(lo, run_chunk(lo))`` for the chunk starts 0, MICRO_BATCH, ...
-    below ``n``, in chunk order, running ``CHUNK_THREADS`` chunks at a time.
-    A round ends before the next begins, so at most ``CHUNK_THREADS``
-    chunks' records and results are alive at once."""
+    below ``n``, in chunk order, ``CHUNK_THREADS`` chunks a round: the
+    round's first chunk on the calling thread, the rest on the pool.
+
+    Every chunk of a round has finished before the round yields or raises,
+    so at most ``CHUNK_THREADS`` chunks' records and results are alive at
+    once, and no chunk still reads the weights once the caller moves on.
+    A failure raises the first failed chunk's error, as the serial loop
+    would. Pool chunks run in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds in them too.
+    """
     starts = range(0, n, MICRO_BATCH)
     for r in range(0, len(starts), CHUNK_THREADS):
         batch = starts[r : r + CHUNK_THREADS]
-        yield from zip(batch, _chunk_round(run_chunk, batch))
+        futures = [_POOL.submit(contextvars.copy_context().run, run_chunk, lo) for lo in batch[1:]]
+        try:
+            results = [run_chunk(batch[0])]
+        finally:
+            wait_all(futures)
+        yield from zip(batch, results + [f.result() for f in futures])
 
 
 def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, in_hw, out_hw) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_conv_config
+from visback import config as config_module
 from visback.config import (
     ConfigError,
     LayerSpec,
@@ -194,6 +195,21 @@ def test_config_file_round_trip(tmp_path):
     cfg = toy_config()
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+def test_failed_save_config_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "net.json"
+    save_config(toy_config(), path)
+    old = path.read_bytes()
+
+    def fail(cfg):
+        raise RuntimeError("serialization failed")
+
+    monkeypatch.setattr(config_module, "config_to_dict", fail)
+    with pytest.raises(RuntimeError, match="serialization failed"):
+        save_config(default_config(), path)
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]  # no temp file left
 
 
 def test_load_config_rejects_bad_json(tmp_path):

@@ -198,6 +198,14 @@ def test_segment_combines_threshold_and_dilate():
     np.testing.assert_array_equal(~class1, [[False, False, False, True]])
 
 
+def test_segment_default_radius_scales_with_the_mask_width():
+    m = np.zeros((40, 100), dtype=np.float32)
+    m[20, 50] = 0.9
+    mask = vmask(m)
+    np.testing.assert_array_equal(segment(mask), segment(mask, radius=15))
+    assert not np.array_equal(segment(mask), segment(mask, radius=30))
+
+
 @pytest.mark.parametrize("radius", [0, 1])
 def test_segment_returns_read_only_bool_map(radius):
     class1 = segment(vmask([[0.9, 0.0, 0.0]]), t=0.2, radius=radius)
