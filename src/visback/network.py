@@ -27,16 +27,13 @@ are long, and per-plane copies of 12-64 channels took 1.3-40x as long.
 * ``forward_batch`` and the SGD loss run micro-batches of
   ``MICRO_BATCH`` frames, so a chunk's im2col matrices and activations stay
   near the L2 cache. The loss and the parameter gradients are summed over
-  the chunks with the whole batch's ``2/N`` scale. The input gradient of a
-  strided conv is scattered by stride phase: the kernel taps that land on
-  one phase (row % stride_h, col % stride_w) of the input grid add their
-  GEMMs into contiguous slices of a dense accumulator, and each phase is
-  copied into the strided gradient once.
+  the chunks with the whole batch's ``2/N`` scale. A conv's input gradient
+  is one more ``conv2d_nhwc`` (see ``_conv_input_grad``), so every conv,
+  forward or backward, runs through the one im2col kernel.
 * The backward multiplies each ReLU mask into the upstream gradient in place
   (an inactive unit passes 0 x upstream), and sums a bias gradient with
-  ``sum(axis=0)``. A matrix-vector ``ones @ dyr`` sum ran about 10x faster
-  on a 2-frame `toy` chunk, but it changed the gradient bits, so it is not
-  used.
+  ``einsum("ij->j")``: the bytes of ``sum(axis=0)``, about 3x faster.
+  ``ones @ dyr`` ran about 10x faster, but it changed the gradient bits.
 * ``forward_batch`` and the loss run their chunks ``CHUNK_THREADS`` at a
   time: the calling thread runs the first chunk of each round and a module
   pool the rest, and a round's results are combined in chunk order before
@@ -129,7 +126,11 @@ def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[Stee
     x = image.data[np.newaxis]
     _check_batch(cfg, weights, x)
     pred, conv_outputs = _run_batch(cfg, weights, x, "conv_outputs")
-    maps = tuple((i, Tensor._wrap(np.ascontiguousarray(out[0].transpose(2, 0, 1)))) for i, out in conv_outputs)
+    try:
+        maps = tuple((i, Tensor._wrap(np.ascontiguousarray(out[0].transpose(2, 0, 1)))) for i, out in conv_outputs)
+    except ValueError:  # _wrap's finiteness check: an overflow is a numeric failure, not a bad input
+        bad = next(i for i, out in conv_outputs if not np.isfinite(out).all())
+        raise NonFiniteOutputError(f"conv layer {bad} output is not finite") from None
     return SteeringOutput(float(pred[0])), ActivationTrace(maps)
 
 
@@ -215,35 +216,36 @@ def _chunk_results(run_chunk, n: int):
 
 
 def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, in_hw, out_hw) -> np.ndarray:
-    """Scatter the (N*Ho*Wo, Co) output gradient back onto the NHWC input grid.
+    """The NHWC input gradient of a conv from its (N*Ho*Wo, Co) output
+    gradient and (Co, Kh, Kw, Ci) kernel, as one stride-1 ``conv2d_nhwc``.
 
-    Output pixel (i, j) of tap (ki, kj) lands on input pixel
-    (i*sh + ki, j*sw + kj), which lies on the stride phase (ki % sh, kj % sw)
-    at phase-grid offset (ki // sh, kj // sw). So each phase gathers its taps'
-    (Co, Ci) GEMMs in a dense accumulator, one contiguous slice per tap, and
-    is copied into its strided view of ``dx`` once. Phase-grid rows and
-    columns past the accumulator (and phases no tap reaches, when the kernel
-    is smaller than the stride) get no gradient.
+    Input pixel (P*sh + ph, Q*sw + pw) gets tap (a*sh + ph, c*sw + pw) of
+    output pixel (P - a, Q - c). So a valid (A, C) conv, A = ceil(Kh/sh) and
+    C = ceil(Kw/sw), of the output gradient zero-padded by A-1 rows and C-1
+    columns a side, with the kernel flipped and packed by phase (zero taps
+    past Kh or Kw), gives each stride phase (ph, pw) as Ci of its sh*sw*Ci
+    output channels. The phases are interleaved into the input grid; input
+    rows and columns no tap reaches stay zero. These few large numpy calls
+    replace a GEMM and a strided add per tap: each call retakes the GIL, and
+    the many small ones serialised the chunk threads.
     """
-    h, w = in_hw
-    oh, ow = out_hw
-    sh, sw = g.stride_h, g.stride_w
-    dx = np.empty((n, h, w, g.in_channels), dtype=np.float32)
-    for ph in range(sh):
-        for pw in range(sw):
-            grid = dx[:, ph::sh, pw::sw]
-            taps_h, taps_w = range(ph, g.kernel_h, sh), range(pw, g.kernel_w, sw)
-            if not taps_h or not taps_w:
-                grid[...] = 0.0
-                continue
-            acc_h, acc_w = oh + len(taps_h) - 1, ow + len(taps_w) - 1
-            acc = np.zeros((n, acc_h, acc_w, g.in_channels), dtype=np.float32)
-            for a, ki in enumerate(taps_h):
-                for c, kj in enumerate(taps_w):
-                    acc[:, a : a + oh, c : c + ow] += (dyr @ w4[:, ki, kj]).reshape(n, oh, ow, g.in_channels)
-            grid[:, :acc_h, :acc_w] = acc
-            grid[:, acc_h:] = 0.0
-            grid[:, :acc_h, acc_w:] = 0.0
+    (h, w), (oh, ow) = in_hw, out_hw
+    sh, sw, ci, co = g.stride_h, g.stride_w, g.in_channels, g.out_channels
+    a, c = -(-g.kernel_h // sh), -(-g.kernel_w // sw)
+    wp = np.zeros((co, a, sh, c, sw, ci), dtype=np.float32)
+    wp.reshape(co, a * sh, c * sw, ci)[:, : g.kernel_h, : g.kernel_w] = w4
+    # laid out (A, C, Co, phases) so conv2d_nhwc's GEMM operand is a C-order view
+    packed = np.ascontiguousarray(wp[:, ::-1, :, ::-1].transpose(1, 3, 0, 2, 4, 5))
+    kernel = packed.reshape(a, c, co, sh * sw * ci).transpose(3, 0, 1, 2)
+    dyp = np.zeros((n, oh + 2 * (a - 1), ow + 2 * (c - 1), co), dtype=np.float32)
+    dyp[:, a - 1 : a - 1 + oh, c - 1 : c - 1 + ow] = dyr.reshape(n, oh, ow, co)
+    phases, _ = tc.conv2d_nhwc(dyp, kernel, np.float32(0.0), ConvGeometry(a, c, 1, 1, co, sh * sw * ci))
+    gh, gw = oh + a - 1, ow + c - 1
+    grid = phases.reshape(n, gh, gw, sh, sw, ci).transpose(0, 1, 3, 2, 4, 5).reshape(n, gh * sh, gw * sw, ci)
+    if gh * sh >= h and gw * sw >= w:
+        return np.ascontiguousarray(grid[:, :h, :w])
+    dx = np.zeros((n, h, w, ci), dtype=np.float32)
+    dx[:, : gh * sh, : gw * sw] = grid[:, :h, :w]
     return dx
 
 
@@ -374,16 +376,13 @@ def _chunk_loss_and_grads(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
             # upstream is always a fresh array this loop owns
             np.multiply(upstream, out > 0, out=upstream)
         if cols is None:
-            dw = upstream.T @ a_in  # (units, D)
-            db = upstream.sum(axis=0)
-            grads[i] = (dw.reshape(-1).astype(np.float32), db.astype(np.float32))
+            grads[i] = ((upstream.T @ a_in).reshape(-1), np.einsum("ij->j", upstream))  # dW: (units, D)
             upstream = upstream @ weights.weight(i).reshape(layer.units, -1)  # (N, D)
             continue
         g = layer.geometry
         dyr = upstream.reshape(-1, g.out_channels)  # NHWC rows: (N*Ho*Wo, Co)
         dw = (dyr.T @ cols).reshape(g.out_channels, g.kernel_h, g.kernel_w, g.in_channels)
-        db = dyr.sum(axis=0)
-        grads[i] = (dw.transpose(0, 3, 1, 2).reshape(-1).astype(np.float32), db.astype(np.float32))
+        grads[i] = (dw.transpose(0, 3, 1, 2).reshape(-1), np.einsum("ij->j", dyr))
         if k > 0:  # the first layer's input (the image) needs no gradient
             upstream = _conv_input_grad(dyr, nhwc_kernel(weights.weight(i), g), g, n,
                                         a_in.shape[1:3], out.shape[1:3])

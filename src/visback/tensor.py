@@ -4,7 +4,7 @@ forward pass and the mask backprojection need.
 ``Tensor`` is the float32, channel-major type of a network input image and of
 each map in an ``ActivationTrace``; masks, class maps and overlays downstream
 are plain (H, W) arrays. ``conv2d_nhwc`` is the one convolution kernel, on
-(N, H, W, C) batches; ``conv2d`` is the checked entry the network calls it
+(N, H, W, C) batches; ``conv2d`` is the checked entry the forward calls it
 through, with the flat weights a ``WeightSet`` stores. ``deconv_upscale`` is
 the mask's unit-weight transposed convolution on a single (h, w) map.
 Operations are pure: they never mutate their inputs.

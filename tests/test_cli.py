@@ -475,6 +475,25 @@ def test_shift_nonfinite_shifted_prediction_is_numeric_error(tmp_path, capsys):
     assert not (tmp_path / "shift" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("subcommand", [["explain"], ["shift", "--range=-4..4", "--step", "2"]], ids=["explain", "shift"])
+def test_conv_overflow_exits_numeric_without_traceback(tmp_path, subcommand):
+    """A conv map that overflows ends the run with the documented exit code 4
+    and a one-line message naming the layer, not a traceback."""
+    cfg = _tiny_config()
+    conv_w = np.full(4 * 3 * 3 * 3, 3.0e38, np.float32)  # a white frame's Y sums past float32's max
+    weights = WeightSet(config=cfg, arrays={1: (conv_w, np.zeros(4, np.float32)),
+                                            2: (np.zeros(4 * 5 * 7, np.float32), np.zeros(1, np.float32))})
+    save_weights(weights, tmp_path / "overflow.pnw")
+    imageio.write_ppm(tmp_path / "frame.ppm", np.full((12, 16, 3), 255, np.uint8))
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-m", "visback", *subcommand,
+                           "--weights", str(tmp_path / "overflow.pnw"), "--image", str(tmp_path / "frame.ppm"),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=_env_with_src(), timeout=120)
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "numerical failure: conv layer 1 output is not finite" in proc.stderr
+
+
 def test_shift_dead_net_warns_of_degenerate_segmentation(workbench, tmp_path, capsys):
     zero = tmp_path / "zero.pnw"
     save_weights(zero_weights(_tiny_config()), zero)

@@ -159,6 +159,15 @@ def test_forward_nonfinite_output_raises():
         forward(cfg, ws, Tensor(np.array([[[100.0]]], dtype=np.float32)))
 
 
+def test_forward_conv_overflow_names_the_layer():
+    """A conv map that overflows is a numeric failure of that layer, raised
+    before the maps are wrapped as tensors (whose check raises ValueError)."""
+    cfg = NetworkConfig(1, 3, 3, (conv_layer(1, kernel=2, stride=1, in_channels=1), fc_layer(1, activation="none")))
+    ws = ws_from_arrays(cfg, {0: ([3.0e38] * 4, [0.0]), 1: ([0.0] * 4, [0.0])})
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteOutputError, match="conv layer 0"):
+        forward(cfg, ws, Tensor(np.full((1, 3, 3), 100.0, dtype=np.float32)))
+
+
 def test_forward_zero_weights_outputs_zero():
     cfg = toy_config()
     ws = zero_weights(cfg)
@@ -781,3 +790,59 @@ def test_conv_input_grad_phase_scatter_matches_loop_oracle(kernel, stride, in_hw
         np.full((n, in_hw[0], in_hw[1], ci), np.nan, dtype=np.float32)
         got = _conv_input_grad(dyr, w4, g, n, in_hw, (oh, ow)).transpose(0, 3, 1, 2)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+
+
+def _conv_shapes(cfg):
+    """(geometry, input (H, W), output (Ho, Wo)) of every conv layer of ``cfg``."""
+    shapes = validate_config(cfg)
+    hw = cfg.input_shape[1:]
+    for i, layer in enumerate(cfg.layers):
+        if layer.kind == "conv":
+            yield i, layer.geometry, hw, shapes[i].output_shape[1:]
+        if len(shapes[i].output_shape) == 3:
+            hw = shapes[i].output_shape[1:]
+
+
+def _input_grad_taps(dy: np.ndarray, w4: np.ndarray, g: ConvGeometry, in_hw) -> np.ndarray:
+    """Input gradient as a float64 scatter, one tap at a time: output pixel
+    (i, j) of tap (ki, kj) adds dy[i, j] @ w4[:, ki, kj] to input pixel
+    (i*sh + ki, j*sw + kj). dy (N, Ho, Wo, Co), w4 (Co, Kh, Kw, Ci)."""
+    n, oh, ow, _ = dy.shape
+    sh, sw = g.stride_h, g.stride_w
+    dx = np.zeros((n,) + tuple(in_hw) + (g.in_channels,))
+    for ki in range(g.kernel_h):
+        for kj in range(g.kernel_w):
+            dx[:, ki : ki + (oh - 1) * sh + 1 : sh, kj : kj + (ow - 1) * sw + 1 : sw] += dy @ w4[:, ki, kj]
+    return dx
+
+
+@pytest.mark.parametrize("cfg", [toy_config(), default_config()], ids=["toy", "default"])
+def test_conv_input_grad_matches_tap_scatter_on_every_conv_layer(cfg):
+    """The one-convolution input gradient on the real nets' geometries (5x5
+    stride 2 with 3-48 channels, 3x3 stride 1 with 48-64) and a 2-frame
+    chunk, against the float64 tap scatter, with the loop oracle's
+    tolerances."""
+    ws = init_weights(cfg, seed=1)
+    rng = np.random.default_rng(71)
+    for i, g, in_hw, out_hw in _conv_shapes(cfg):
+        w4 = tensor.nhwc_kernel(ws.weight(i), g)
+        dy = rng.uniform(-1, 1, (MICRO_BATCH,) + tuple(out_hw) + (g.out_channels,)).astype(np.float32)
+        got = _conv_input_grad(dy.reshape(-1, g.out_channels), w4, g, MICRO_BATCH, in_hw, out_hw)
+        assert got.shape == (MICRO_BATCH,) + tuple(in_hw) + (g.in_channels,) and got.dtype == np.float32
+        want = _input_grad_taps(dy.astype(np.float64), w4.astype(np.float64), g, in_hw)
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6, err_msg=f"layer {i}")
+
+
+@pytest.mark.parametrize("cfg", [toy_config(), default_config()], ids=["toy", "default"])
+def test_bias_gradient_einsum_equals_column_sum_bytes(cfg):
+    """The backward sums each bias gradient with ``einsum("ij->j")``; on every
+    layer's chunk shapes (a full chunk and a one-frame tail) its bytes are
+    those of ``sum(axis=0)``."""
+    shapes = validate_config(cfg)
+    rng = np.random.default_rng(72)
+    for i in (i for i, layer in enumerate(cfg.layers) if layer.kind != "normalization"):
+        pixels = int(np.prod(shapes[i].output_shape[1:]))  # 1 for an FC layer
+        for frames in (MICRO_BATCH, 1):
+            rows = rng.standard_normal((frames * pixels, shapes[i].output_shape[0])).astype(np.float32)
+            rows[rows < 0] = 0.0  # as after the ReLU mask
+            assert np.einsum("ij->j", rows).tobytes() == rows.sum(axis=0).tobytes(), f"layer {i}"
