@@ -5,8 +5,8 @@
     visback explain --weights W.pnw --image I.ppm --out DIR
     visback shift   --weights W.pnw --image I.ppm --out DIR
 
-Every run drops a manifest JSON next to its outputs recording the subcommand,
-input paths, seed, and tool version, so any artifact can be regenerated.
+Every run drops a manifest JSON beside its outputs (subcommand, input paths,
+seed, tool version, thread model), so any artifact can be regenerated.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical failure.
 """
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, harness, imageio, saliency, scenes, training
+from . import __version__, harness, imageio, network, saliency, scenes, training
 from .config import BUILTIN_CONFIGS, ConfigError, NetworkConfig, load_config
 from .fileutil import atomic_write_text
 from .network import InputRangeError, NonFiniteOutputError, forward
@@ -63,6 +63,8 @@ def _write_manifest(target: Path, subcommand: str, *, config_path=None, weight_p
         "output_directory": str(out_dir) if out_dir is not None else None,
         "tool_version": __version__,
         "outputs": [str(o) for o in outputs],
+        "chunk_threads": network.CHUNK_THREADS,
+        "blas_pinned": network.BLAS_PINNED,
     }
     atomic_write_text(target, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

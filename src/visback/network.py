@@ -37,20 +37,17 @@ are long, and per-plane copies of 12-64 channels took 1.3-40x as long.
 * ``forward_batch`` and the loss run their chunks ``CHUNK_THREADS`` at a
   time: the calling thread runs the first chunk of each round and a module
   pool the rest, and a round's results are combined in chunk order before
-  the next round starts. ``CHUNK_THREADS`` is the CPU count over the BLAS
-  thread count (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else one
-  BLAS thread per CPU), read once at import. So with BLAS pinned to one
-  thread a 2-CPU machine runs two chunks at once; with BLAS unpinned the
-  chunks run serially on the caller and no pool thread starts. With the
-  pool on, importing this module makes glibc keep later threads in its
-  main malloc arena (``_share_malloc_arena``).
+  the next round starts. Importing this module pins numpy's OpenBLAS to one
+  thread, process-wide (``_pin_blas``), and ``CHUNK_THREADS`` is the CPU
+  count, or 1 where no setter is found (MKL, Accelerate); no environment
+  variable is read. The pool shares glibc's main arena (``_share_malloc_arena``).
 
 Every result is a deterministic function of (config, weights, input). The
 conv kernel runs one GEMM and the FC head one matrix-vector product per
 frame, so a frame's conv maps and prediction are bit-identical in a batch of
 any size, at any chunk position. Chunks are reduced in the same order at any
 ``CHUNK_THREADS``, so every output is bit-identical at any chunk-thread
-count. See README "Determinism".
+count and, with BLAS pinned, at any BLAS setting. See README "Determinism".
 """
 
 from __future__ import annotations
@@ -137,32 +134,32 @@ def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[Stee
 # Frames per forward/backward chunk. At 2 chunk threads, 2 keeps 4 frames in
 # flight, as serial 4-frame chunks did, and with them the peak memory: 4-frame
 # chunks on 2 threads read 99.4-99.7 MB peak RSS on the bench's `gen_eval` and
-# `explain_shift` against about 91 MB serially, near its 10% bound. The serial
-# path (BLAS unpinned) pays for it: batch-64 `default` forward_batch and the
-# `toy` batch-32 loss and gradients each ran about 10% slower than with
-# 4-frame chunks.
+# `explain_shift` against about 91 MB serially, near its 10% bound.
 MICRO_BATCH = 2
 
+# OpenBLAS's process-wide thread setters: numpy's bundled build, then a system one
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads")
 
-def _chunk_threads() -> int:
-    """CPUs over BLAS threads: the chunks that can run at once without
-    oversubscribing the CPUs. BLAS threads are the first positive integer in
-    ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``; with neither set,
-    OpenBLAS runs one thread per CPU."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    blas = cpus
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            value = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            blas = value
-            break
-    return max(1, cpus // blas)
+
+def _pin_blas() -> bool:
+    """Set numpy's OpenBLAS to one thread, process-wide; False where no setter
+    is found. dlsym on numpy's extension module also searches the libraries it
+    links, so this finds the OpenBLAS numpy loads privately. One call, not a
+    set-and-restore per BLAS call: on numpy's bundled build even the "local"
+    setter is process-wide, so a restore would race between chunk threads."""
+    blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    setter = next((getattr(blas, name) for name in _BLAS_SETTERS if hasattr(blas, name)), None)
+    if setter is not None:
+        setter(ctypes.c_int(1))
+    return setter is not None
+
+
+def _chunk_threads(blas_pinned: bool) -> int:
+    """One chunk thread per CPU when BLAS runs one thread, else 1."""
+    if not blas_pinned:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 _M_ARENA_MAX = -8  # mallopt parameter number, from glibc's malloc.h
@@ -185,7 +182,8 @@ def _share_malloc_arena() -> None:
     mallopt(ctypes.c_int(_M_ARENA_MAX), ctypes.c_int(1))
 
 
-CHUNK_THREADS = _chunk_threads()
+BLAS_PINNED = _pin_blas()
+CHUNK_THREADS = _chunk_threads(BLAS_PINNED)
 # threads start on the first submit, so at CHUNK_THREADS = 1 none ever does
 _POOL = ThreadPoolExecutor(max_workers=max(1, CHUNK_THREADS - 1), thread_name_prefix="visback-chunk")
 if CHUNK_THREADS > 1:

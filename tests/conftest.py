@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -17,6 +20,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def env_with_src() -> dict:
+    """The environment with ``src/`` first on PYTHONPATH, so a subprocess finds
+    the package in an uninstalled checkout too."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def random_conv_config(rng: np.random.Generator, with_normalization: bool = True,

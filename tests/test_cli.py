@@ -3,7 +3,6 @@ miniature problem, exit codes for each failure class, and artifact formats."""
 
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,14 +11,14 @@ import numpy as np
 import pytest
 
 import visback
-from conftest import zero_weights
+from conftest import env_with_src, zero_weights
 from visback import imageio
 from visback.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer, save_config
 from visback.training import FrameDataset, LABELS_FILE
 from visback.weights import WeightSet, load_weights, save_weights
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _tiny_config() -> NetworkConfig:
@@ -76,15 +75,8 @@ def test_version_flag(capsys):
     assert visback.__version__ in out
 
 
-def _env_with_src() -> dict:
-    """The environment with ``src/`` first on PYTHONPATH, so a subprocess finds
-    the package in an uninstalled checkout too."""
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=path)
-
-
 def test_console_script_is_installed():
-    env = _env_with_src()
+    env = env_with_src()
     proc = subprocess.run([sys.executable, "-m", "visback", "--version"],
                           capture_output=True, text=True, env=env)
     if proc.returncode != 0:
@@ -95,9 +87,9 @@ def test_console_script_is_installed():
 
 def test_run_pipeline_script_smoke(tmp_path):
     """The README's quick-start script runs gen, train, explain and shift end to end."""
-    script = SRC.parent / "scripts" / "run_pipeline.py"
+    script = REPO / "scripts" / "run_pipeline.py"
     proc = subprocess.run([sys.executable, str(script), "--scenes", "8", "--epochs", "1", "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=_env_with_src(), timeout=300)
+                          capture_output=True, text=True, env=env_with_src(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "explain" / "mask.msk").is_file()
     assert (tmp_path / "shift" / "summary.json").is_file()
@@ -109,9 +101,9 @@ def test_plot_script_without_matplotlib_exits_1(tmp_path):
     missing package and exits 1 instead of failing with a traceback."""
     csv_path = tmp_path / "shifts.csv"
     csv_path.write_text("shift_px,steer_class1,steer_class2,steer_all\n0,0.0,0.0,0.0\n")
-    script = SRC.parent / "scripts" / "plot_shift_results.py"
+    script = REPO / "scripts" / "plot_shift_results.py"
     proc = subprocess.run([sys.executable, str(script), str(csv_path)],
-                          capture_output=True, text=True, env=_env_with_src(), timeout=60)
+                          capture_output=True, text=True, env=env_with_src(), timeout=60)
     assert proc.returncode == 1
     assert "matplotlib is not installed" in proc.stderr
     assert not (tmp_path / "shifts.png").exists()
@@ -130,6 +122,8 @@ def test_gen_writes_dataset_and_manifest(workbench):
     assert manifest["seed"] == 3
     assert manifest["tool_version"] == visback.__version__
     assert LABELS_FILE in manifest["outputs"]
+    assert type(manifest["chunk_threads"]) is int and manifest["chunk_threads"] >= 1
+    assert type(manifest["blas_pinned"]) is bool
 
 
 def test_gen_is_byte_deterministic(tmp_path):
@@ -488,7 +482,7 @@ def test_conv_overflow_exits_numeric_without_traceback(tmp_path, subcommand):
     proc = subprocess.run([sys.executable, "-W", "ignore", "-m", "visback", *subcommand,
                            "--weights", str(tmp_path / "overflow.pnw"), "--image", str(tmp_path / "frame.ppm"),
                            "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=_env_with_src(), timeout=120)
+                          capture_output=True, text=True, env=env_with_src(), timeout=120)
     assert proc.returncode == EXIT_NUMERIC, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "numerical failure: conv layer 1 output is not finite" in proc.stderr

@@ -719,32 +719,18 @@ def test_callers_errstate_holds_in_every_chunk(threads, chunk_threads):
         assert np.isinf(forward_batch(cfg, ws, x)[-1])
 
 
-@pytest.mark.parametrize("env, cpus, want", [
-    ({}, 2, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
-    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
-    ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 1),
-    ({"OMP_NUM_THREADS": "1"}, 2, 2),
-    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 4, 4),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
-    ({"OPENBLAS_NUM_THREADS": "3"}, 8, 2),
-    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
-])
-def test_chunk_threads_are_cpus_over_blas_threads(env, cpus, want, monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert network._chunk_threads() == want
-
-
 def test_chunk_threads_fall_back_to_cpu_count_without_affinity(monkeypatch):
     monkeypatch.delattr(network.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(network.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert network._chunk_threads() == 4
+    assert network._chunk_threads(True) == 4
+
+
+def test_no_blas_setter_means_one_chunk_thread(monkeypatch):
+    """Where numpy's BLAS has no OpenBLAS setter nothing is pinned, and the
+    chunks run serially beside BLAS's own threads."""
+    monkeypatch.setattr(network, "_BLAS_SETTERS", ("no_such_blas_setter",))
+    monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: set(range(4)))
+    assert network._chunk_threads(network._pin_blas()) == 1
 
 
 def _input_grad_loops(dy: np.ndarray, w4: np.ndarray, sh: int, sw: int, in_hw) -> np.ndarray:

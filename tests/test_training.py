@@ -3,12 +3,14 @@ behavioral contracts (zero-rate no-op, memorization, divergence, mirror
 symmetry)."""
 
 import math
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from conftest import zero_weights
+from conftest import env_with_src, zero_weights
 from visback import network, scenes, training
 from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer, toy_config
 from visback.network import forward_batch
@@ -421,6 +423,46 @@ def test_seeded_training_is_bit_identical_at_any_chunk_thread_count(monkeypatch)
                                     dataset)
         runs.append(([a.tobytes() for i in sorted(weights.arrays) for a in weights.arrays[i]], losses))
     assert runs[1] == runs[0]
+
+
+_BLAS_RUN = """
+import hashlib, os
+import numpy as np
+from visback import network, training
+from visback.config import default_config, toy_config
+from visback.weights import init_weights
+
+ds = training.generate_dataset(64, seed=3)
+weights, losses = training.train(toy_config(), training.TrainConfig(epochs=2, seed=3), ds)
+cfg = default_config()
+preds = network.forward_batch(cfg, init_weights(cfg, seed=3), training._to_yuv_batch(ds.images_rgb))
+h = hashlib.sha256(np.array(losses).tobytes() + preds.tobytes())
+for i in sorted(weights.arrays):
+    for a in weights.arrays[i]:
+        h.update(a.tobytes())
+cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+print(h.hexdigest(), network.CHUNK_THREADS, cpus)
+"""
+
+
+@pytest.mark.skipif(not network.BLAS_PINNED, reason="numpy's BLAS has no OpenBLAS thread setter")
+def test_seeded_results_are_the_same_bytes_at_any_blas_setting():
+    """Importing ``network`` pins OpenBLAS to one thread and runs one chunk
+    thread per CPU, whatever the environment says. So seeded `toy` training
+    and a `default` ``forward_batch`` give the same bytes with the BLAS
+    variables unset or set, including ``GOTO_NUM_THREADS``, which OpenBLAS
+    also reads."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
+    env = {k: v for k, v in env_with_src().items() if k not in blas_vars}
+    digests = set()
+    for setting in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "1"}):
+        proc = subprocess.run([sys.executable, "-c", _BLAS_RUN], env={**env, **setting},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digest, chunk_threads, cpus = proc.stdout.split()
+        assert chunk_threads == cpus, setting
+        digests.add(digest)
+    assert len(digests) == 1
 
 
 # ------------------------------------------------------- mirror consistency
