@@ -53,6 +53,12 @@ class UsageError(ValueError):
     pass
 
 
+def _blas_build() -> str:
+    """numpy's BLAS as its build records it: name, version (configuration)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name', 'unknown')} {blas.get('version', '')} ({blas.get('openblas configuration', '').strip()})"
+
+
 def _write_manifest(target: Path, subcommand: str, *, config_path=None, weight_path=None,
                     seed=None, out_dir=None, outputs=()) -> None:
     manifest = {
@@ -65,6 +71,8 @@ def _write_manifest(target: Path, subcommand: str, *, config_path=None, weight_p
         "outputs": [str(o) for o in outputs],
         "chunk_threads": network.CHUNK_THREADS,
         "blas_pinned": network.BLAS_PINNED,
+        "numpy_version": np.__version__,
+        "blas_build": _blas_build(),
     }
     atomic_write_text(target, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

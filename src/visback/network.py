@@ -34,10 +34,12 @@ are long, and per-plane copies of 12-64 channels took 1.3-40x as long.
   (an inactive unit passes 0 x upstream), and sums a bias gradient with
   ``einsum("ij->j")``: the bytes of ``sum(axis=0)``, about 3x faster.
   ``ones @ dyr`` ran about 10x faster, but it changed the gradient bits.
-* ``forward_batch`` and the loss run their chunks ``CHUNK_THREADS`` at a
-  time: the calling thread runs the first chunk of each round and a module
-  pool the rest, and a round's results are combined in chunk order before
-  the next round starts. Importing this module pins numpy's OpenBLAS to one
+* ``forward_batch``, the loss and ``training.generate_dataset`` run their
+  chunks through ``_chunk_results``: the calling thread runs every
+  ``CHUNK_THREADS``-th chunk and a module pool the others, fed up to
+  ``2 * CHUNK_THREADS`` chunks ahead with no barrier, and the results are
+  combined in chunk order. A uint8 batch holds RGB frames; each chunk
+  converts its own to YUV. Importing this module pins numpy's OpenBLAS to one
   thread, process-wide (``_pin_blas``), and ``CHUNK_THREADS`` is the CPU
   count, or 1 where no setter is found (MKL, Accelerate); no environment
   variable is read. The pool shares glibc's main arena (``_share_malloc_arena``).
@@ -61,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import scenes
 from . import tensor as tc
 from .config import ConfigError, NetworkConfig
 from .tensor import ConvGeometry, ShapeError, Tensor, nhwc_kernel
@@ -113,6 +116,8 @@ def _check_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray) -> None:
         raise ConfigError("weight set was built for a different config")
     if x.ndim != 4 or x.shape[1:] != cfg.input_shape:
         raise ShapeError(f"batch shape {x.shape} incompatible with config input {cfg.input_shape}")
+    if x.dtype == np.uint8 and x.shape[1] != 3:
+        raise ShapeError(f"a uint8 batch holds RGB frames, 3 channels, got {x.shape[1]}")
     # with a normalization layer, normalize_input's range check rejects NaN and inf
     if cfg.layers[0].kind != "normalization" and not np.isfinite(x).all():
         raise ValueError("batch elements must be finite")
@@ -192,25 +197,30 @@ if CHUNK_THREADS > 1:
 
 def _chunk_results(run_chunk, n: int):
     """Yield ``(lo, run_chunk(lo))`` for the chunk starts 0, MICRO_BATCH, ...
-    below ``n``, in chunk order, ``CHUNK_THREADS`` chunks a round: the
-    round's first chunk on the calling thread, the rest on the pool.
+    below ``n``, in chunk order. Chunk k runs on the calling thread when
+    ``k % CHUNK_THREADS == 0``, else on the pool, which is fed up to
+    ``2 * CHUNK_THREADS`` chunks ahead of the one yielded, with no barrier,
+    so at most that many chunks' records and results are alive at once.
 
-    Every chunk of a round has finished before the round yields or raises,
-    so at most ``CHUNK_THREADS`` chunks' records and results are alive at
-    once, and no chunk still reads the weights once the caller moves on.
-    A failure raises the first failed chunk's error, as the serial loop
-    would. Pool chunks run in a copy of the caller's context, so the
-    caller's ``np.errstate`` holds in them too.
+    Every submitted chunk has finished once the generator returns or raises,
+    so none still reads the weights when the caller moves on, and a failure
+    raises the first failed chunk's error, as the serial loop would. Pool
+    chunks run in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds in them too.
     """
     starts = range(0, n, MICRO_BATCH)
-    for r in range(0, len(starts), CHUNK_THREADS):
-        batch = starts[r : r + CHUNK_THREADS]
-        futures = [_POOL.submit(contextvars.copy_context().run, run_chunk, lo) for lo in batch[1:]]
-        try:
-            results = [run_chunk(batch[0])]
-        finally:
-            wait_all(futures)
-        yield from zip(batch, results + [f.result() for f in futures])
+    futures = {}  # chunk index -> future, submitted and not yet yielded
+    submitted = 0
+    try:
+        for k, lo in enumerate(starts):
+            ahead = min(len(starts), k + 2 * CHUNK_THREADS)
+            for j in range(submitted, ahead):
+                if j % CHUNK_THREADS:
+                    futures[j] = _POOL.submit(contextvars.copy_context().run, run_chunk, starts[j])
+            submitted = ahead
+            yield lo, (futures.pop(k).result() if k % CHUNK_THREADS else run_chunk(lo))
+    finally:
+        wait_all(futures.values())
 
 
 def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, in_hw, out_hw) -> np.ndarray:
@@ -250,12 +260,15 @@ def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, i
 def _to_nhwc(x: np.ndarray) -> np.ndarray:
     """The (N, C, H, W) batch ``x`` as a C-order float32 NHWC array.
 
-    A batch whose NHWC view already is C-contiguous float32, such as the one
+    A uint8 batch holds RGB frames and comes back converted to YUV. A batch
+    whose NHWC view already is C-contiguous float32, such as the one
     ``training._to_yuv_batch`` returns, comes back as that view, with no
     copy. Any other batch is copied one channel plane at a time (see the
     module docstring).
     """
     a = x.transpose(0, 2, 3, 1)
+    if a.dtype == np.uint8:
+        return scenes._yuv_channels_last(a)
     if a.dtype == np.float32 and a.flags.c_contiguous:
         return a
     nhwc = np.empty(a.shape, dtype=np.float32)
@@ -302,9 +315,13 @@ def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, keep: str 
 def forward_batch(cfg: NetworkConfig, weights: WeightSet, images: np.ndarray) -> np.ndarray:
     """Steering predictions for a stack of images, (N, C, H, W) -> (N,).
 
-    An empty stack gives an empty (0,) result.
+    A uint8 stack holds RGB frames, converted to YUV chunk by chunk; any
+    other stack is network input as it stands. An empty stack gives an
+    empty (0,) result.
     """
-    x = np.asarray(images, dtype=np.float32)
+    x = np.asarray(images)
+    if x.dtype != np.uint8:  # checked as the float32 the network runs on
+        x = x.astype(np.float32, copy=False)
     _check_batch(cfg, weights, x)
     preds = np.empty(x.shape[0], dtype=np.float32)
 

@@ -1,9 +1,9 @@
 """Dataset plumbing and the SGD loop.
 
-Frames are kept as uint8 RGB and converted to network-ready YUV per batch (a
-2000-frame set stays under 100 MB this way). Viewpoint augmentation happens on
-the fly: every epoch each sampled frame is re-warped by a fresh lateral shift
-drawn from the configured range, with the label corrected toward lane center.
+Frames are kept as uint8 RGB, and each network chunk converts its own to YUV
+(a 2000-frame set stays under 100 MB this way). Viewpoint augmentation happens
+on the fly: every epoch each sampled frame is re-warped by a fresh lateral
+shift drawn from the configured range, with the label corrected toward lane center.
 Everything is driven by one seeded generator, so a (config, dataset, seed)
 triple reproduces the weight trajectory bit for bit.
 """
@@ -171,18 +171,23 @@ def sample_scene_params(rng: np.random.Generator, style: str = "mixed") -> Scene
 
 def generate_dataset(n: int, style: str = "mixed", seed: int = 0,
                      width: int = 200, height: int = 66) -> FrameDataset:
-    """Render n seeded scenes into a dataset; deterministic in every argument."""
+    """Render n seeded scenes into a dataset; deterministic in every argument.
+    The scenes are drawn in order, then rendered on the network's chunk threads."""
     n, seed = as_int(n, "n", 0), as_int(seed, "seed", 0)
     width, height = as_int(width, "width", 1), as_int(height, "height", 1)
     if style != "mixed" and style not in STYLES:
         raise ValueError(f"style must be 'mixed' or one of {STYLES}, got {style!r}")
     rng = np.random.default_rng(seed)
+    params = [sample_scene_params(rng, style) for _ in range(n)]
     images = np.empty((n, height, width, 3), np.uint8)
-    labels = np.empty(n, np.float32)
-    for i in range(n):
-        p = sample_scene_params(rng, style)
-        images[i] = scenes.render_scene_rgb(p, width, height)
-        labels[i] = scenes.ground_truth_steering(p.lane_offset, p.heading, p.curvature)
+    labels = np.array([scenes.ground_truth_steering(p.lane_offset, p.heading, p.curvature) for p in params],
+                      np.float32)
+
+    def render_chunk(lo):  # each chunk fills its own rows of images
+        for i in range(lo, min(n, lo + network.MICRO_BATCH)):
+            images[i] = scenes.render_scene_rgb(params[i], width, height)
+
+    list(network._chunk_results(render_chunk, n))  # render every chunk
     return FrameDataset(images, labels)
 
 
@@ -233,8 +238,7 @@ def train(cfg: NetworkConfig, tc: TrainConfig, dataset: FrameDataset) -> tuple[W
             if tc.augmentation_shift_range > 0.0:
                 shifts = rng.uniform(-tc.augmentation_shift_range, tc.augmentation_shift_range, idx.size)
                 imgs, labs = _augment_batch(imgs, labs, shifts)
-            x = _to_yuv_batch(imgs)
-            loss, grads = network._loss_and_grads_batch(cfg, weights, x, labs)
+            loss, grads = network._loss_and_grads_batch(cfg, weights, imgs.transpose(0, 3, 1, 2), labs)
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, loss)
             for i, (gw, gb) in grads.items():

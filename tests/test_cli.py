@@ -124,6 +124,8 @@ def test_gen_writes_dataset_and_manifest(workbench):
     assert LABELS_FILE in manifest["outputs"]
     assert type(manifest["chunk_threads"]) is int and manifest["chunk_threads"] >= 1
     assert type(manifest["blas_pinned"]) is bool
+    for field in ("numpy_version", "blas_build"):
+        assert type(manifest[field]) is str and manifest[field]
 
 
 def test_gen_is_byte_deterministic(tmp_path):

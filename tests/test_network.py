@@ -719,6 +719,90 @@ def test_callers_errstate_holds_in_every_chunk(threads, chunk_threads):
         assert np.isinf(forward_batch(cfg, ws, x)[-1])
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_chunks_come_back_in_order_with_a_bounded_number_in_flight(threads, chunk_threads, monkeypatch):
+    """Chunks are yielded in chunk order, and at no point have more than
+    ``2 * CHUNK_THREADS`` chunks started without being yielded, so the memory
+    in flight stays bounded per CPU. The caller's first chunk is slow, so the
+    pool runs ahead of it as far as it may: past the caller's round, which a
+    per-round barrier would not allow."""
+    chunk_threads(threads)
+    cfg = toy_config()
+    ws = init_weights(cfg, seed=0)
+    n = 9 * MICRO_BATCH + 1
+    x = np.empty((n,) + cfg.input_shape, dtype=np.float32)
+    x[:] = np.arange(n, dtype=np.float32)[:, None, None, None]  # each frame holds its own index
+    events = []
+    lock = threading.Lock()
+    run_batch, chunk_results = network._run_batch, network._chunk_results
+
+    def recording(cfg, weights, x, keep):
+        lo = int(x[0, 0, 0, 0])
+        with lock:
+            events.append(("start", lo))
+        if lo == 0:
+            time.sleep(0.1)
+        return run_batch(cfg, weights, x, keep)
+
+    def watched(run_chunk, n):
+        for lo, result in chunk_results(run_chunk, n):
+            with lock:
+                events.append(("yield", lo))
+            yield lo, result
+
+    monkeypatch.setattr(network, "_run_batch", recording)
+    monkeypatch.setattr(network, "_chunk_results", watched)
+    forward_batch(cfg, ws, x)
+    starts = list(range(0, n, MICRO_BATCH))
+    assert [lo for what, lo in events if what == "yield"] == starts
+    assert sorted(lo for what, lo in events if what == "start") == starts
+    in_flight = np.cumsum([1 if what == "start" else -1 for what, _ in events])
+    assert in_flight.max() <= 2 * threads
+    if threads > 1:
+        assert in_flight.max() > threads
+
+
+def test_generated_dataset_is_the_same_bytes_at_any_chunk_thread_count(chunk_threads):
+    results = []
+    for k in (1, 2, 3):
+        chunk_threads(k)
+        ds = training.generate_dataset(64, seed=3)
+        results.append((ds.images_rgb.tobytes(), ds.labels.tobytes()))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+@pytest.mark.parametrize("n", [1, 3, 2 * MICRO_BATCH + 1, 32])
+def test_uint8_frames_give_the_bytes_of_their_yuv_batch(n, chunk_threads):
+    """A uint8 batch holds RGB frames, and each chunk converts its own to YUV:
+    the predictions, the loss and every gradient are the bytes the whole
+    batch's ``training._to_yuv_batch`` gives, at any chunk-thread count and in
+    either memory layout."""
+    rng = np.random.default_rng(n)
+    for cfg, ws in ((toy_config(), load_weights(TOY_WEIGHTS)), (default_config(), init_weights(default_config(), seed=1))):
+        frames = rng.integers(0, 256, (n, cfg.input_height, cfg.input_width, 3), dtype=np.uint8)
+        targets = rng.uniform(-1.0, 1.0, n).astype(np.float32)
+        chunk_threads(1)
+        want = _batched_bytes(cfg, ws, training._to_yuv_batch(frames), targets)
+        for k in (1, 2, 3):
+            chunk_threads(k)
+            assert _batched_bytes(cfg, ws, frames.transpose(0, 3, 1, 2), targets) == want
+        planar = np.ascontiguousarray(frames.transpose(0, 3, 1, 2))
+        assert _batched_bytes(cfg, ws, planar, targets) == want
+
+
+def test_uint8_frames_for_a_one_channel_config_raise_shape_error():
+    cfg = NetworkConfig(1, 6, 6, (LayerSpec(kind="normalization"), fc_layer(1, activation="none")))
+    ws = init_weights(cfg, seed=0)
+    frames = np.zeros((2, 1, 6, 6), dtype=np.uint8)
+    with pytest.raises(ShapeError, match="RGB"):
+        forward_batch(cfg, ws, frames)
+    with pytest.raises(ShapeError, match="RGB"):
+        _loss_and_grads_batch(cfg, ws, frames, np.zeros(2, np.float32))
+    with pytest.raises(ShapeError):  # RGB frames do not fit a 1-channel input either
+        forward_batch(cfg, ws, np.zeros((2, 3, 6, 6), dtype=np.uint8))
+
+
 def test_chunk_threads_fall_back_to_cpu_count_without_affinity(monkeypatch):
     monkeypatch.delattr(network.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(network.os, "cpu_count", lambda: 4)
