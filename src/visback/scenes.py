@@ -17,14 +17,25 @@ in units of inverse turning radius (1/m), positive steering turning right.
 Three visual styles mark the road edge in different ways: painted lines,
 parked cars, or a grass verge.
 
-The warp maps and the YUV conversion run once per SGD step on the whole
-batch. The conversion clamps with ``np.clip``: ``np.maximum`` then
-``np.minimum`` took twice as long (800 against 375-400 us on the 1.27 M
-floats of a 32-frame batch).
+Everything a frame draws whatever the scene (the first ground row, the
+ground depths, each ground pixel's lateral meters, the sky gradient, the
+road shade and the dash rows) is computed once per frame size by
+``_frame_layout`` and kept as read-only arrays in a small LRU cache.
+``render_scene_rgb`` copies the sky frame and writes the scene in place
+into its ground rows, which are one contiguous slice, so the per-scene work
+is the lane geometry, the masks and the two seeded noise draws; the draws
+are most of it. Scaling ``standard_normal`` in place gives the draws'
+bytes but no measurable gain.
+
+The warp maps run once per SGD step on the whole batch, the YUV
+conversion once per chunk. The conversion clamps with ``np.clip``:
+``np.maximum`` then ``np.minimum`` took twice as long (800 against 375-400
+us on the 1.27 M floats of a 32-frame batch).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,22 +123,61 @@ def rgb_to_yuv(rgb: np.ndarray) -> np.ndarray:
     return _yuv_channels_last(arr).transpose(2, 0, 1)
 
 
-def _ground_geometry(width: int, height: int):
-    """Per-row depth and per-pixel lateral position for the below-horizon rows."""
-    v_h = HORIZON_FRAC * height
-    f = FOCAL_FRAC * width
+@dataclass(frozen=True)
+class _FrameLayout:
+    """What a frame of one size draws whatever the scene; every array read-only.
+
+    Rows ``g0:`` are the ground, one contiguous slice of the frame. ``gz``
+    holds their depths, ``x`` each ground pixel's lateral meters, ``sky`` the
+    whole frame's sky gradient, ``road`` each ground row's road shade and
+    ``dash_rows`` the ground rows where the center dashes are painted.
+    """
+
+    g0: int
+    gz: np.ndarray         # (Hg,) float64
+    x: np.ndarray          # (Hg, W) float64
+    sky: np.ndarray        # (H, W, 3) float32
+    road: np.ndarray       # (Hg, 1, 1) float32
+    dash_rows: np.ndarray  # (Hg, 1) bool
+
+
+def _first_ground_row(height: int) -> int:
+    """The first row drawn as ground; rows up to 0.75 below the horizon stay
+    sky, which keeps the ground depth finite. ``height`` if there is none."""
     v_centers = np.arange(height, dtype=np.float64) + 0.5
-    ground = v_centers > v_h + 0.75  # keep depth finite near the horizon
-    z = np.empty(height, dtype=np.float64)
-    z[ground] = f * CAMERA_HEIGHT_M / (v_centers[ground] - v_h)
-    z[~ground] = np.inf
-    u_centers = np.arange(width, dtype=np.float64) + 0.5 - width / 2.0
-    return ground, z, u_centers, f
+    return int(np.count_nonzero(v_centers <= HORIZON_FRAC * height + 0.75))
 
 
 def has_ground_rows(height: int) -> bool:
     """Whether a frame of this height has any rows below the horizon to draw as ground."""
-    return bool(_ground_geometry(1, height)[0].any())
+    return _first_ground_row(height) < height
+
+
+@functools.lru_cache(maxsize=4)
+def _frame_layout(width: int, height: int) -> _FrameLayout:
+    g0 = _first_ground_row(height)
+    if g0 == height:
+        raise ValueError(f"height {height} leaves no rows below the horizon")
+    v_h = HORIZON_FRAC * height
+    f = FOCAL_FRAC * width
+    gz = f * CAMERA_HEIGHT_M / (np.arange(g0, height, dtype=np.float64) + 0.5 - v_h)
+    u_centers = np.arange(width, dtype=np.float64) + 0.5 - width / 2.0
+    x = u_centers[None, :] * gz[:, None] / f
+
+    # Sky: vertical gradient, brightest at the horizon.
+    v_frac = (np.arange(height, dtype=np.float32) + 0.5) / max(1.0, v_h)
+    sky_t = np.clip(v_frac, 0.0, 1.0)[:, None, None]
+    top = np.array([96.0, 142.0, 204.0], np.float32)
+    low = np.array([172.0, 192.0, 214.0], np.float32)
+    sky = np.broadcast_to(top + (low - top) * sky_t, (height, width, 3)).copy()
+
+    # Road surface: asphalt gray, slightly lighter with distance.
+    road = np.clip(105.0 + 28.0 * (gz / gz.max()), 0.0, 160.0).astype(np.float32)[:, None, None]
+
+    dash_rows = np.mod(gz, 4.0)[:, None] < 2.0
+    for arr in (gz, x, sky, road, dash_rows):
+        arr.setflags(write=False)
+    return _FrameLayout(g0, gz, x, sky, road, dash_rows)
 
 
 def _lane_center(z: np.ndarray, p: SceneParams) -> np.ndarray:
@@ -135,56 +185,43 @@ def _lane_center(z: np.ndarray, p: SceneParams) -> np.ndarray:
 
 
 def render_scene_rgb(p: SceneParams, width: int = 200, height: int = 66) -> np.ndarray:
-    """Rasterize the scene to (H, W, 3) uint8; deterministic in (params, seed)."""
+    """Rasterize the scene to (H, W, 3) uint8; deterministic in (params, seed).
+    ``width`` and ``height`` must be integers >= 1; a height with no rows
+    below the horizon raises ``ValueError``."""
+    width, height = as_int(width, "width", 1), as_int(height, "height", 1)
+    layout = _frame_layout(width, height)
     rng = np.random.default_rng(p.seed)
-    ground, z, u_centers, f = _ground_geometry(width, height)
+    img = layout.sky.copy()
+    ground = img[layout.g0:]                         # (Hg, W, 3) view of the ground rows
 
-    img = np.empty((height, width, 3), dtype=np.float32)
-
-    # Sky: vertical gradient, brightest at the horizon.
-    v_frac = (np.arange(height, dtype=np.float32) + 0.5) / max(1.0, HORIZON_FRAC * height)
-    sky_t = np.clip(v_frac, 0.0, 1.0)[:, None, None]
-    top = np.array([96.0, 142.0, 204.0], np.float32)
-    low = np.array([172.0, 192.0, 214.0], np.float32)
-    img[:] = top + (low - top) * sky_t
-
-    if not ground.any():
-        raise ValueError(f"height {height} leaves no rows below the horizon")
-    gz = z[ground]                                   # (Hg,)
-    x = u_centers[None, :] * gz[:, None] / f         # (Hg, W) lateral meters
-    rel = x - _lane_center(gz, p)[:, None]           # distance from lane center
-    on_road = np.abs(rel) <= HALF_LANE_M
-
-    # Road surface: asphalt gray, slightly lighter with distance.
-    shade = np.clip(105.0 + 28.0 * (gz / gz.max()), 0.0, 160.0).astype(np.float32)
-    road_rgb = shade[:, None, None]                  # broadcasts against (Hg, W, 3)
+    dist = layout.x - _lane_center(layout.gz, p)[:, None]
+    np.abs(dist, out=dist)                           # meters from the lane center
+    on_road = dist <= HALF_LANE_M
 
     if p.style == "grass_edge":
-        off_rgb = np.empty((gz.size, width, 3), np.float32)
-        off_rgb[:, :, 0] = 62.0
-        off_rgb[:, :, 1] = 128.0
-        off_rgb[:, :, 2] = 58.0
-        off_rgb += rng.normal(0.0, 9.0, off_rgb.shape).astype(np.float32)
+        ground[:, :, 0] = 62.0
+        ground[:, :, 1] = 128.0
+        ground[:, :, 2] = 58.0
+        ground += rng.normal(0.0, 9.0, ground.shape).astype(np.float32)
     elif p.style == "unmarked_with_parked_cars":
-        off_rgb = np.full((gz.size, width, 3), 146.0, np.float32)  # pale shoulder
+        ground[:] = 146.0  # pale shoulder
     else:
-        off_rgb = np.full((gz.size, width, 3), 126.0, np.float32)  # dirt shoulder
-
-    scene = np.where(on_road[:, :, None], road_rgb, off_rgb)
+        ground[:] = 126.0  # dirt shoulder
+    np.copyto(ground, layout.road, where=on_road[:, :, None])
 
     if p.style == "lane_marked":
         line_w = 0.14
-        edge = (np.abs(np.abs(rel) - HALF_LANE_M) <= line_w)
-        dashes = (np.mod(gz[:, None], 4.0) < 2.0) & (np.abs(rel) <= 0.09)
-        scene = np.where((edge | dashes)[:, :, None], np.float32(232.0), scene)
-
-    img[ground] = scene
+        edge = np.abs(dist - HALF_LANE_M) <= line_w
+        dashes = layout.dash_rows & (dist <= 0.09)
+        ground[edge | dashes] = 232.0
 
     if p.style == "unmarked_with_parked_cars":
         _draw_parked_cars(img, p, rng, width, height)
 
     img += rng.normal(0.0, 2.0, img.shape).astype(np.float32)
-    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+    np.rint(img, out=img)
+    np.clip(img, 0, 255, out=img)
+    return img.astype(np.uint8)
 
 
 def _draw_parked_cars(img: np.ndarray, p: SceneParams, rng: np.random.Generator,

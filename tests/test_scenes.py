@@ -1,6 +1,8 @@
 """Synthetic road scenes: steering ground truth, rendering determinism, the
 RGB/YUV conversions, and the lateral viewpoint warp used for augmentation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from visback.scenes import (
     STYLES,
     LabeledFrame,
     SceneParams,
+    _frame_layout,
     _yuv_channels_last,
     ground_truth_steering,
     lateral_source_columns,
@@ -23,7 +26,7 @@ from visback.scenes import (
     rgb_to_yuv,
 )
 from visback.tensor import Tensor
-from visback.training import _augment_batch
+from visback.training import _augment_batch, generate_dataset
 
 
 def params(offset=0.0, heading=0.0, curvature=0.0, style="lane_marked", seed=0):
@@ -100,6 +103,60 @@ def test_render_every_style():
     for style in STYLES:
         img = render_scene_rgb(params(style=style))
         assert img.shape == (66, 200, 3)
+
+
+def sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_rendered_bytes_are_pinned():
+    """The renderer's output bytes, pinned at two frame sizes in one process,
+    so a layout cache keyed on the wrong size fails here."""
+    ds = generate_dataset(64, seed=3)
+    assert sha256(ds.images_rgb) == "1fcbfef26a4aaec4567e02a861d1d05aad7365f313fd19f19be9f5ea0399c088"
+    assert sha256(ds.labels) == "e1c0071ab5849ea046dafb98b786627c37aa73786dc80e7bedde618ee2e7c1b9"
+    pinned = {
+        "lane_marked": "8de0138f310ec68062b1f48016405dbe40175747e87a61d746a4e46abd488ecc",
+        "unmarked_with_parked_cars": "87e80de40c550ae1de1f382b139ee85ee1ab5d39456b847b49bced3e098d3723",
+        "grass_edge": "4051d80890c714b684192f25e7258530c0efbc3499b04bb94066d81b33acb0b9",
+    }
+    for style, digest in pinned.items():
+        small = generate_dataset(24, style=style, seed=5, width=64, height=40)
+        assert sha256(small.images_rgb) == digest, style
+
+
+@pytest.mark.parametrize("value", [0, -5, 200.0, True])
+@pytest.mark.parametrize("name", ["width", "height"])
+def test_render_rejects_a_bad_frame_size(name, value):
+    # unchecked, a width of 0 rendered an empty frame after a 0/0 warning
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+        render_scene_rgb(params(), **{name: value})
+
+
+def test_render_takes_numpy_integer_sizes():
+    np.testing.assert_array_equal(render_scene_rgb(params(seed=4), np.int64(64), np.int32(40)),
+                                  render_scene_rgb(params(seed=4), 64, 40))
+
+
+def test_render_rejects_a_height_with_no_ground_rows():
+    with pytest.raises(ValueError, match="leaves no rows below the horizon"):
+        render_scene_rgb(params(), 200, 1)
+
+
+def test_a_rendered_frame_is_never_the_layout_cache():
+    for style in STYLES:
+        p = params(offset=0.5, style=style, seed=2)
+        first = render_scene_rgb(p)
+        expected = first.copy()
+        first[:] = 0
+        np.testing.assert_array_equal(render_scene_rgb(p), expected)
+    layout = _frame_layout(200, 66)
+    arrays = [v for v in vars(layout).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 5
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
 
 
 def test_lane_marked_style_has_bright_marking_pixels():
