@@ -11,10 +11,10 @@ weights. When asked, the loop keeps one record per conv and FC layer:
 backward reads everything else off those records: the ReLU mask is
 ``output > 0`` and the conv input size is the input's shape.
 
-A (N, C, H, W) batch moves to NHWC one channel plane at a time
-(``a[..., c] = x[:, c]``). ``np.ascontiguousarray`` of the transposed view
-makes the same bytes, but it walks the 3-float pixel rows of the NHWC
-destination one at a time: 100-220 us for a 2-frame 66 x 200 chunk,
+A float (N, C, H, W) batch is copied to a fresh NHWC array one channel
+plane at a time (``a[..., c] = x[:, c]``). ``np.ascontiguousarray`` of the
+transposed view makes the same bytes, but it walks the 3-float pixel rows of
+the NHWC destination one at a time: 100-220 us for a 2-frame 66 x 200 chunk,
 against 30-40 us for three plane copies. The way back, NHWC conv maps to
 (C, H, W) trace maps, stays one transpose copy: there the destination rows
 are long, and per-plane copies of 12-64 channels took 1.3-40x as long.
@@ -176,9 +176,13 @@ def _share_malloc_arena() -> None:
     glibc gives each allocating thread an arena of its own, and an arena
     keeps the heap its peak working set freed while that stays below the
     trim threshold. A pool thread's arena held about 7 MB of free heap after
-    batch-64 `default` evals, which raised the bench's peak RSS by up to
-    10%. In one arena the pool thread reuses memory the caller freed. Where
-    the C library has no ``mallopt`` this does nothing.
+    batch-64 `default` evals. In one arena the pool thread reuses memory the
+    caller freed. Without this call, on 2 CPUs (25-s bench runs, alternating
+    pairs), ``explain_shift``'s median peak RSS read 96.95 against 88.61 MB
+    (+9.4%, 10 pairs), ``train``'s 134.93 against 134.23 MB and
+    ``gen_eval``'s 92.85 against 92.84 MB; but ``gen_eval`` rendered 12.5%
+    and evaluated 9.1% more frames per second (4 of 4 pairs). See README
+    "Determinism". Where the C library has no ``mallopt`` this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -258,19 +262,15 @@ def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, i
 
 
 def _to_nhwc(x: np.ndarray) -> np.ndarray:
-    """The (N, C, H, W) batch ``x`` as a C-order float32 NHWC array.
+    """The (N, C, H, W) batch ``x`` as a fresh C-order float32 NHWC array.
 
-    A uint8 batch holds RGB frames and comes back converted to YUV. A batch
-    whose NHWC view already is C-contiguous float32, such as the one
-    ``training._to_yuv_batch`` returns, comes back as that view, with no
-    copy. Any other batch is copied one channel plane at a time (see the
-    module docstring).
+    A uint8 batch holds RGB frames and comes back converted to YUV. Any
+    other batch is copied one channel plane at a time (see the module
+    docstring), so the result never shares memory with ``x``.
     """
     a = x.transpose(0, 2, 3, 1)
     if a.dtype == np.uint8:
         return scenes._yuv_channels_last(a)
-    if a.dtype == np.float32 and a.flags.c_contiguous:
-        return a
     nhwc = np.empty(a.shape, dtype=np.float32)
     for c in range(x.shape[1]):
         nhwc[..., c] = x[:, c]
@@ -284,10 +284,9 @@ def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, keep: str 
     conv layer; for ``"records"`` one record per conv and FC layer:
     (layer index, input, post-activation output, im2col matrix or None).
 
-    Conv activations are NHWC. A batch whose memory already is NHWC enters
-    without a copy, so it must not be written to. An FC layer runs one
-    matrix-vector product per row, so that no row depends on the others (an
-    (N, D) GEMM lets BLAS block by N).
+    Conv activations are NHWC, and the batch enters as its own NHWC copy
+    (``_to_nhwc``). An FC layer runs one matrix-vector product per row, so
+    that no row depends on the others (an (N, D) GEMM lets BLAS block by N).
     """
     a = _to_nhwc(x)
     kept: list[tuple] | None = [] if keep else None

@@ -61,11 +61,8 @@ class TrainConfig:
 
 
 def _to_yuv_batch(rgb_uint8: np.ndarray) -> np.ndarray:
-    """(B, H, W, 3) uint8 -> (B, 3, H, W) float32 YUV.
-
-    The result is a transposed view of NHWC memory, the layout the batched
-    network path runs in, so handing it to the network costs no copy.
-    """
+    """(B, H, W, 3) uint8 -> (B, 3, H, W) float32 YUV, a transposed view
+    of NHWC memory."""
     return scenes._yuv_channels_last(rgb_uint8).transpose(0, 3, 1, 2)
 
 
@@ -172,11 +169,13 @@ def sample_scene_params(rng: np.random.Generator, style: str = "mixed") -> Scene
 def generate_dataset(n: int, style: str = "mixed", seed: int = 0,
                      width: int = 200, height: int = 66) -> FrameDataset:
     """Render n seeded scenes into a dataset; deterministic in every argument.
-    The scenes are drawn in order, then rendered on the network's chunk threads."""
+    The scenes are drawn in order, then rendered on the network's chunk threads.
+    A frame size the renderer rejects raises ``ValueError`` at any ``n``."""
     n, seed = as_int(n, "n", 0), as_int(seed, "seed", 0)
     width, height = as_int(width, "width", 1), as_int(height, "height", 1)
     if style != "mixed" and style not in STYLES:
         raise ValueError(f"style must be 'mixed' or one of {STYLES}, got {style!r}")
+    scenes._frame_layout(width, height)  # the renderer's size check; the chunks then share its cached layout
     rng = np.random.default_rng(seed)
     params = [sample_scene_params(rng, style) for _ in range(n)]
     images = np.empty((n, height, width, 3), np.uint8)

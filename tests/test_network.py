@@ -288,11 +288,10 @@ def test_backward_matches_float64_loop_oracle(hidden):
 
 
 def test_single_channel_batched_path_matches_per_frame_path():
-    """With one input channel and no normalization layer, the first conv gets
-    an NHWC view of the NCHW batch whose size-1 channel axis keeps a frame-
-    sized stride. The im2col windows must not read that stride: forward_batch
-    must equal forward frame by frame, and the gradients of one frame (a
-    batch of one) must match the float64 loop oracle."""
+    """With one input channel and no normalization layer, the first conv
+    reads the batch's NHWC copy directly: forward_batch must equal forward
+    frame by frame, and the gradients of one frame (a batch of one) must
+    match the float64 loop oracle."""
     cfg = NetworkConfig(1, 7, 8, (
         conv_layer(1, kernel=3, stride=1, in_channels=1),
         conv_layer(2, kernel=3, stride=2, in_channels=1),
@@ -517,11 +516,11 @@ BATCH_LAYOUTS = {
 
 @pytest.mark.parametrize("layout", sorted(BATCH_LAYOUTS))
 def test_batch_layout_keeps_predictions_and_maps(layout):
-    """``_run_batch`` copies a batch to NHWC one channel plane at a time,
-    unless its NHWC view already is C-contiguous float32. Whatever the
-    layout or dtype of the (N, C, H, W) batch, the predictions and conv maps
-    are the C-order float32 stack's bit for bit, and each frame's per-frame
-    ``forward`` gives the same prediction and trace maps."""
+    """``_run_batch`` copies every float batch to NHWC one channel plane at
+    a time. Whatever the layout or dtype of the (N, C, H, W) batch, the
+    predictions and conv maps are the C-order float32 stack's bit for bit,
+    and each frame's per-frame ``forward`` gives the same prediction and
+    trace maps."""
     for cfg, ws in _contract_nets():
         stack = np.random.default_rng(61).uniform(0.0, 255.0, (3,) + cfg.input_shape).astype(np.float32)
         x = BATCH_LAYOUTS[layout](stack)
@@ -539,15 +538,22 @@ def test_batch_layout_keeps_predictions_and_maps(layout):
                 np.testing.assert_array_equal(t.data, want[k].transpose(2, 0, 1))
 
 
-def test_nhwc_batches_enter_without_a_copy():
-    """The training batch, a transposed view of NHWC float32 memory, reaches
-    the first layer as that memory; a C-order (N, C, H, W) stack is copied."""
-    rgb = np.random.default_rng(67).integers(0, 256, (2, 6, 9, 3), dtype=np.uint8)
-    x = training._to_yuv_batch(rgb)
-    assert np.shares_memory(network._to_nhwc(x), x)
-    stack = np.ascontiguousarray(x)
-    a = network._to_nhwc(stack)
-    assert not np.shares_memory(a, stack) and a.flags.c_contiguous
+NHWC_INPUTS = {
+    "yuv_batch_view": lambda rng: training._to_yuv_batch(rng.integers(0, 256, (2, 6, 9, 3), dtype=np.uint8)),
+    "c_order_3_channels": lambda rng: rng.uniform(-1.0, 1.0, (2, 3, 6, 9)).astype(np.float32),
+    "c_order_1_channel": lambda rng: rng.uniform(-1.0, 1.0, (4, 1, 7, 8)).astype(np.float32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NHWC_INPUTS))
+def test_a_float_batch_enters_as_a_fresh_nhwc_copy(name):
+    """Every float batch reaches the first layer as a new C-order float32
+    NHWC array, never as the caller's memory: not a ``_to_yuv_batch`` view
+    of NHWC memory, nor a one-channel stack whose NHWC view is contiguous."""
+    x = NHWC_INPUTS[name](np.random.default_rng(67))
+    a = network._to_nhwc(x)
+    assert a.dtype == np.float32 and a.flags.c_contiguous
+    assert not np.shares_memory(a, x)
     np.testing.assert_array_equal(a, x.transpose(0, 2, 3, 1))
 
 

@@ -182,6 +182,16 @@ def test_empty_dataset_round_trip(tmp_path):
     assert len(FrameDataset.load(tmp_path / "d")) == 0
 
 
+def test_a_frame_size_is_checked_whatever_the_scene_count():
+    """A height with no ground rows fails before any scene is drawn, so an
+    empty dataset of that size raises as a one-scene one does."""
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="height 1 leaves no rows below the horizon"):
+            generate_dataset(n, height=1)
+    ds = generate_dataset(0)
+    assert ds.images_rgb.shape == (0, 66, 200, 3) and ds.labels.shape == (0,)
+
+
 def test_load_missing_labels_file(tmp_path):
     with pytest.raises(DatasetError, match="missing labels"):
         FrameDataset.load(tmp_path)
