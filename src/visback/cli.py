@@ -71,6 +71,7 @@ def _write_manifest(target: Path, subcommand: str, *, config_path=None, weight_p
         "outputs": [str(o) for o in outputs],
         "chunk_threads": network.CHUNK_THREADS,
         "blas_pinned": network.BLAS_PINNED,
+        "blas_core": network.BLAS_CORE,
         "numpy_version": np.__version__,
         "blas_build": _blas_build(),
     }
@@ -210,7 +211,7 @@ def cmd_shift(args) -> int:
     weights = load_weights(args.weights)
     cfg = weights.config
     _, image = _read_input_image(args.image, cfg)
-    if max(abs(lo), abs(hi)) >= cfg.input_width:
+    if max(abs(dx) for dx in shifts) >= cfg.input_width:
         raise UsageError(f"shifts must stay below the image width {cfg.input_width}")
 
     radius = args.dilate if args.dilate is not None else harness.scaled_dilation_radius(cfg.input_width)

@@ -128,12 +128,12 @@ def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[Stee
     x = image.data[np.newaxis]
     _check_batch(cfg, weights, x)
     pred, conv_outputs = _run_batch(cfg, weights, x, "conv_outputs")
-    try:
-        maps = tuple((i, Tensor._wrap(np.ascontiguousarray(out[0].transpose(2, 0, 1)))) for i, out in conv_outputs)
-    except ValueError:  # _wrap's finiteness check: an overflow is a numeric failure, not a bad input
-        bad = next(i for i, out in conv_outputs if not np.isfinite(out).all())
-        raise NonFiniteOutputError(f"conv layer {bad} output is not finite") from None
-    return SteeringOutput(float(pred[0])), ActivationTrace(maps)
+    maps = []
+    for i, out in conv_outputs:
+        if not np.isfinite(out).all():  # an overflow is a numeric failure, not a bad input
+            raise NonFiniteOutputError(f"conv layer {i} output is not finite")
+        maps.append((i, Tensor._wrap(np.ascontiguousarray(out[0].transpose(2, 0, 1)))))
+    return SteeringOutput(float(pred[0])), ActivationTrace(tuple(maps))
 
 
 # Frames per forward/backward chunk. At 2 chunk threads, 2 keeps 4 frames in
@@ -142,22 +142,43 @@ def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[Stee
 # `explain_shift` against about 91 MB serially, near its 10% bound.
 MICRO_BATCH = 2
 
-# OpenBLAS's process-wide thread setters: numpy's bundled build, then a system one
+# OpenBLAS's process-wide thread setters and its core-name getters: numpy's
+# bundled build, then a system one
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                  "openblas_set_num_threads64_", "openblas_set_num_threads")
+_BLAS_CORE_GETTERS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                      "openblas_get_corename64_", "openblas_get_corename")
+
+
+def _blas_function(names: tuple[str, ...]):
+    """The first of ``names`` found in numpy's OpenBLAS, or None. dlsym on
+    numpy's extension module also searches the libraries it links, so this
+    finds the OpenBLAS numpy loads privately."""
+    blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    return next((getattr(blas, name) for name in names if hasattr(blas, name)), None)
 
 
 def _pin_blas() -> bool:
     """Set numpy's OpenBLAS to one thread, process-wide; False where no setter
-    is found. dlsym on numpy's extension module also searches the libraries it
-    links, so this finds the OpenBLAS numpy loads privately. One call, not a
-    set-and-restore per BLAS call: on numpy's bundled build even the "local"
-    setter is process-wide, so a restore would race between chunk threads."""
-    blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    setter = next((getattr(blas, name) for name in _BLAS_SETTERS if hasattr(blas, name)), None)
+    is found. One call, not a set-and-restore per BLAS call: on numpy's
+    bundled build even the "local" setter is process-wide, so a restore would
+    race between chunk threads."""
+    setter = _blas_function(_BLAS_SETTERS)
     if setter is not None:
         setter(ctypes.c_int(1))
     return setter is not None
+
+
+def _blas_core() -> str | None:
+    """The kernel set ("core") OpenBLAS runs, such as ``SkylakeX``: the
+    CPU's own, or the one ``OPENBLAS_CORETYPE`` forced at load time. The
+    bytes of every BLAS result depend on it (README "Determinism"). None
+    where no getter is found."""
+    getter = _blas_function(_BLAS_CORE_GETTERS)
+    if getter is None:
+        return None
+    getter.restype = ctypes.c_char_p
+    return getter().decode()
 
 
 def _chunk_threads(blas_pinned: bool) -> int:
@@ -192,6 +213,7 @@ def _share_malloc_arena() -> None:
 
 
 BLAS_PINNED = _pin_blas()
+BLAS_CORE = _blas_core()
 CHUNK_THREADS = _chunk_threads(BLAS_PINNED)
 # threads start on the first submit, so at CHUNK_THREADS = 1 none ever does
 _POOL = ThreadPoolExecutor(max_workers=max(1, CHUNK_THREADS - 1), thread_name_prefix="visback-chunk")

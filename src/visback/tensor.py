@@ -35,9 +35,12 @@ class ShapeError(ValueError):
 class Tensor:
     """Immutable (channels, height, width) array of float32.
 
-    Construction copies the input array. The wrapped array is marked
-    read-only, so slices of ``data`` are safe to hand out and tensors can be
-    shared across threads.
+    Construction copies the input array and scans it for NaN and infinity:
+    it is where outside data enters (a read frame, a dataset frame, a test's
+    array). Arrays the program builds from checked data are adopted by
+    ``_wrap`` instead, so every ``Tensor`` is finite. The wrapped array is
+    marked read-only, so slices of ``data`` are safe to hand out and tensors
+    can be shared across threads.
     """
 
     data: np.ndarray
@@ -55,10 +58,11 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        """Adopt a float32 C-order array we own, skipping the defensive copy."""
+        """Adopt a finite float32 C-order array the program made and owns:
+        no copy and no scan, only made read-only. The caller vouches that
+        it is finite, as a moved copy of a ``Tensor`` is, or a conv map
+        ``network.forward`` has checked."""
         t = object.__new__(cls)
-        if not np.isfinite(arr).all():
-            raise ValueError("tensor elements must be finite")
         arr.flags.writeable = False
         object.__setattr__(t, "data", arr)
         return t

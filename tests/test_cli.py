@@ -124,6 +124,8 @@ def test_gen_writes_dataset_and_manifest(workbench):
     assert LABELS_FILE in manifest["outputs"]
     assert type(manifest["chunk_threads"]) is int and manifest["chunk_threads"] >= 1
     assert type(manifest["blas_pinned"]) is bool
+    if manifest["blas_pinned"]:  # a pinned OpenBLAS also names its core
+        assert type(manifest["blas_core"]) is str and manifest["blas_core"]
     for field in ("numpy_version", "blas_build"):
         assert type(manifest[field]) is str and manifest[field]
 
@@ -416,6 +418,22 @@ def test_shift_usage_errors(workbench, tmp_path, capsys):
     assert main(base + ["--range=-20..20"]) == EXIT_USAGE  # exceeds width 16
     assert main(base + ["--dilate", "-1"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_shift_width_bound_applies_to_the_sampled_shifts(workbench, tmp_path, capsys):
+    """The width bound holds for the shifts the run samples, not the --range
+    ends: on the 16-px frame, -5..18 step 5 samples -5 ... 15, all legal."""
+    out = tmp_path / "shift"
+    rc = main(["shift", "--weights", str(workbench["weights_path"]),
+               "--image", str(workbench["frame0"]), "--out", str(out),
+               "--range=-5..18", "--step", "5"])
+    assert rc == EXIT_OK, capsys.readouterr().err
+    lines = (out / "shifts.csv").read_text().splitlines()
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [-5, 0, 5, 10, 15]
+    rc = main(["shift", "--weights", str(workbench["weights_path"]),
+               "--image", str(workbench["frame0"]), "--out", str(tmp_path / "wide"), "--range=-20..20"])
+    assert rc == EXIT_USAGE
+    assert "below the image width 16" in capsys.readouterr().err
 
 
 def test_shift_usage_errors_precede_file_reads(tmp_path, capsys):

@@ -507,6 +507,25 @@ def test_experiment_unshifted_row_is_the_per_frame_prediction(trained_frame):
         assert getattr(res, f"steer_{mode}")[i0] == pred  # bit for bit, as explain computes it
 
 
+def test_program_made_tensors_are_frozen_finite_and_own_their_memory(trained_frame):
+    """``Tensor._wrap`` adopts what the program made without a copy or a
+    scan, so the program must hand it fresh, finite arrays: forward's trace
+    maps and every ``shift_class`` frame (each mode, dx = 0 too) are
+    read-only, finite, C-contiguous float32, and share no memory with the
+    input ``Tensor`` or with each other."""
+    cfg, ws, img, s, _ = trained_frame
+    _, trace = network.forward(cfg, ws, img)
+    made = [t for _, t in trace.conv_entries]
+    made += [shift_class(img, s, mode, dx) for mode in MODES for dx in (-7, 0, 7)]
+    for t in made:
+        a = t.data
+        assert a.dtype == np.float32 and a.flags.c_contiguous and not a.flags.writeable
+        assert np.isfinite(a).all()
+        assert not np.shares_memory(a, img.data)
+    for k, t in enumerate(made):
+        assert not any(np.shares_memory(t.data, u.data) for u in made[k + 1 :])
+
+
 def test_experiment_shifted_rows_match_per_frame_forward(trained_frame):
     cfg, ws, img, s, _ = trained_frame
     res = run_shift_experiment(cfg, ws, img, s)

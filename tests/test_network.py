@@ -160,8 +160,8 @@ def test_forward_nonfinite_output_raises():
 
 
 def test_forward_conv_overflow_names_the_layer():
-    """A conv map that overflows is a numeric failure of that layer, raised
-    before the maps are wrapped as tensors (whose check raises ValueError)."""
+    """A conv map that overflows is a numeric failure of that layer:
+    ``forward`` checks each conv map once and names the first bad one."""
     cfg = NetworkConfig(1, 3, 3, (conv_layer(1, kernel=2, stride=1, in_channels=1), fc_layer(1, activation="none")))
     ws = ws_from_arrays(cfg, {0: ([3.0e38] * 4, [0.0]), 1: ([0.0] * 4, [0.0])})
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteOutputError, match="conv layer 0"):
