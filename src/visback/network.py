@@ -24,6 +24,10 @@ are long, and per-plane copies of 12-64 channels took 1.3-40x as long.
   tensor; this trace is what the mask backprojection consumes. The loop
   keeps only those conv outputs, not the full records, so its memory peak
   is ``forward_batch``'s plus the maps.
+* ``_conv_operands`` builds each conv layer's kernel, bias and, for the
+  loss, packed input-gradient kernel once per ``forward``, ``forward_batch``
+  or loss call, and the chunks only read them. Built per chunk, these short
+  calls, each holding the GIL, ran 16 times per 32-frame SGD step.
 * ``forward_batch`` and the SGD loss run micro-batches of
   ``MICRO_BATCH`` frames, so a chunk's im2col matrices and activations stay
   near the L2 cache. The loss and the parameter gradients are summed over
@@ -127,7 +131,7 @@ def forward(cfg: NetworkConfig, weights: WeightSet, image: Tensor) -> tuple[Stee
     """Run one image through the network; returns the steering value and the trace."""
     x = image.data[np.newaxis]
     _check_batch(cfg, weights, x)
-    pred, conv_outputs = _run_batch(cfg, weights, x, "conv_outputs")
+    pred, conv_outputs = _run_batch(cfg, weights, x, "conv_outputs", _conv_operands(cfg, weights, False))
     maps = []
     for i, out in conv_outputs:
         if not np.isfinite(out).all():  # an overflow is a numeric failure, not a bad input
@@ -249,9 +253,39 @@ def _chunk_results(run_chunk, n: int):
         wait_all(futures.values())
 
 
-def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, in_hw, out_hw) -> np.ndarray:
+def _conv_operands(cfg: NetworkConfig, weights: WeightSet, backward: bool) -> dict[int, tuple]:
+    """Layer index -> (read-only (Co, Kh, Kw, Ci) kernel, float32 bias,
+    ``_input_grad_kernel``'s pair when ``backward``, else None) of every conv
+    layer, built once per batch call and only read by its chunks. ``train``
+    writes the weights only after the loss call returns."""
+    convs = {}
+    for i in cfg.conv_indices():
+        g = cfg.layers[i].geometry
+        w4 = nhwc_kernel(weights.weight(i), g)
+        w4.flags.writeable = False
+        convs[i] = (w4, weights.bias(i), _input_grad_kernel(w4, g) if backward else None)
+    return convs
+
+
+def _input_grad_kernel(w4: np.ndarray, g: ConvGeometry) -> tuple[np.ndarray, ConvGeometry]:
+    """The flipped, phase-packed kernel and the stride-1 geometry with which
+    ``_conv_input_grad`` turns a conv's output gradient into its input
+    gradient; ``w4`` is the conv's (Co, Kh, Kw, Ci) kernel."""
+    sh, sw, ci, co = g.stride_h, g.stride_w, g.in_channels, g.out_channels
+    a, c = -(-g.kernel_h // sh), -(-g.kernel_w // sw)
+    wp = np.zeros((co, a, sh, c, sw, ci), dtype=np.float32)
+    wp.reshape(co, a * sh, c * sw, ci)[:, : g.kernel_h, : g.kernel_w] = w4
+    # laid out (A, C, Co, phases) so conv2d_nhwc's GEMM operand is a C-order view
+    packed = np.ascontiguousarray(wp[:, ::-1, :, ::-1].transpose(1, 3, 0, 2, 4, 5))
+    packed.flags.writeable = False
+    return packed.reshape(a, c, co, sh * sw * ci).transpose(3, 0, 1, 2), ConvGeometry(a, c, 1, 1, co, sh * sw * ci)
+
+
+def _conv_input_grad(dyr: np.ndarray, grad: tuple[np.ndarray, ConvGeometry], g: ConvGeometry, n: int,
+                     in_hw, out_hw) -> np.ndarray:
     """The NHWC input gradient of a conv from its (N*Ho*Wo, Co) output
-    gradient and (Co, Kh, Kw, Ci) kernel, as one stride-1 ``conv2d_nhwc``.
+    gradient, as one stride-1 ``conv2d_nhwc`` with the kernel and geometry
+    ``grad`` that ``_input_grad_kernel`` made of the conv's kernel.
 
     Input pixel (P*sh + ph, Q*sw + pw) gets tap (a*sh + ph, c*sw + pw) of
     output pixel (P - a, Q - c). So a valid (A, C) conv, A = ceil(Kh/sh) and
@@ -265,15 +299,11 @@ def _conv_input_grad(dyr: np.ndarray, w4: np.ndarray, g: ConvGeometry, n: int, i
     """
     (h, w), (oh, ow) = in_hw, out_hw
     sh, sw, ci, co = g.stride_h, g.stride_w, g.in_channels, g.out_channels
-    a, c = -(-g.kernel_h // sh), -(-g.kernel_w // sw)
-    wp = np.zeros((co, a, sh, c, sw, ci), dtype=np.float32)
-    wp.reshape(co, a * sh, c * sw, ci)[:, : g.kernel_h, : g.kernel_w] = w4
-    # laid out (A, C, Co, phases) so conv2d_nhwc's GEMM operand is a C-order view
-    packed = np.ascontiguousarray(wp[:, ::-1, :, ::-1].transpose(1, 3, 0, 2, 4, 5))
-    kernel = packed.reshape(a, c, co, sh * sw * ci).transpose(3, 0, 1, 2)
+    kernel, kg = grad
+    a, c = kg.kernel_h, kg.kernel_w
     dyp = np.zeros((n, oh + 2 * (a - 1), ow + 2 * (c - 1), co), dtype=np.float32)
     dyp[:, a - 1 : a - 1 + oh, c - 1 : c - 1 + ow] = dyr.reshape(n, oh, ow, co)
-    phases, _ = tc.conv2d_nhwc(dyp, kernel, np.float32(0.0), ConvGeometry(a, c, 1, 1, co, sh * sw * ci))
+    phases, _ = tc.conv2d_nhwc(dyp, kernel, None, kg)
     gh, gw = oh + a - 1, ow + c - 1
     grid = phases.reshape(n, gh, gw, sh, sw, ci).transpose(0, 1, 3, 2, 4, 5).reshape(n, gh * sh, gw * sw, ci)
     if gh * sh >= h and gw * sw >= w:
@@ -299,8 +329,9 @@ def _to_nhwc(x: np.ndarray) -> np.ndarray:
     return nhwc
 
 
-def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, keep: str | None):
-    """Forward one micro-batch, (N, C, H, W); returns the (N,) predictions
+def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, keep: str | None, convs: dict[int, tuple]):
+    """Forward one micro-batch, (N, C, H, W), with the conv operands
+    ``convs`` from ``_conv_operands``; returns the (N,) predictions
     and what ``keep`` asks the loop to hold on to: nothing for None; for
     ``"conv_outputs"`` the (layer index, NHWC post-activation output) of each
     conv layer; for ``"records"`` one record per conv and FC layer:
@@ -317,7 +348,8 @@ def _run_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, keep: str 
             a = normalize_input(a)
             continue
         if layer.kind == "conv":
-            out, cols = tc.conv2d(a, weights.weight(i), layer.geometry, weights.bias(i))
+            w4, b, _ = convs[i]
+            out, cols = tc.conv2d(a, w4, layer.geometry, b)
         else:
             if a.ndim == 4:  # the FC weights read the last map in (C, H, W) order
                 a = a.transpose(0, 3, 1, 2).reshape(a.shape[0], -1)
@@ -345,9 +377,10 @@ def forward_batch(cfg: NetworkConfig, weights: WeightSet, images: np.ndarray) ->
         x = x.astype(np.float32, copy=False)
     _check_batch(cfg, weights, x)
     preds = np.empty(x.shape[0], dtype=np.float32)
+    convs = _conv_operands(cfg, weights, False)
 
     def run_chunk(lo):
-        return _run_batch(cfg, weights, x[lo : lo + MICRO_BATCH], None)[0]
+        return _run_batch(cfg, weights, x[lo : lo + MICRO_BATCH], None, convs)[0]
 
     for lo, chunk in _chunk_results(run_chunk, x.shape[0]):
         preds[lo : lo + MICRO_BATCH] = chunk
@@ -371,11 +404,13 @@ def _loss_and_grads_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
     scale = np.float32(2.0 / n)
     sq_sum = 0.0
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    convs = _conv_operands(cfg, weights, True)
 
     def run_chunk(lo):
         # the chunk body is called directly, so a wrapper on this function's
         # module attribute sees one call per batch
-        return _chunk_loss_and_grads(cfg, weights, x[lo : lo + MICRO_BATCH], targets[lo : lo + MICRO_BATCH], scale)
+        return _chunk_loss_and_grads(cfg, weights, x[lo : lo + MICRO_BATCH], targets[lo : lo + MICRO_BATCH], scale,
+                                     convs)
 
     for _, (chunk_sq, chunk_grads) in _chunk_results(run_chunk, n):
         sq_sum += chunk_sq
@@ -390,12 +425,13 @@ def _loss_and_grads_batch(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
 
 
 def _chunk_loss_and_grads(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray, targets: np.ndarray,
-                          scale: np.float32):
+                          scale: np.float32, convs: dict[int, tuple]):
     """One micro-batch of ``_loss_and_grads_batch``: the sum of its squared
     errors and its parameter gradients, with ``scale`` (2 / whole-batch N)
-    as the loss gradient per unit of prediction error."""
+    as the loss gradient per unit of prediction error, and the batch's conv
+    operands ``convs``."""
     n = x.shape[0]
-    preds, records = _run_batch(cfg, weights, x, "records")
+    preds, records = _run_batch(cfg, weights, x, "records", convs)
     diff = preds - targets.astype(np.float32)
     sq = float(np.sum(diff.astype(np.float64) ** 2))
 
@@ -420,6 +456,5 @@ def _chunk_loss_and_grads(cfg: NetworkConfig, weights: WeightSet, x: np.ndarray,
         dw = (dyr.T @ cols).reshape(g.out_channels, g.kernel_h, g.kernel_w, g.in_channels)
         grads[i] = (dw.transpose(0, 3, 1, 2).reshape(-1), np.einsum("ij->j", dyr))
         if k > 0:  # the first layer's input (the image) needs no gradient
-            upstream = _conv_input_grad(dyr, nhwc_kernel(weights.weight(i), g), g, n,
-                                        a_in.shape[1:3], out.shape[1:3])
+            upstream = _conv_input_grad(dyr, convs[i][2], g, n, a_in.shape[1:3], out.shape[1:3])
     return sq, grads

@@ -5,18 +5,20 @@ forward pass and the mask backprojection need.
 each map in an ``ActivationTrace``; masks, class maps and overlays downstream
 are plain (H, W) arrays. ``conv2d_nhwc`` is the one convolution kernel, on
 (N, H, W, C) batches; ``conv2d`` is the checked entry the forward calls it
-through, with the flat weights a ``WeightSet`` stores. ``deconv_upscale`` is
-the mask's unit-weight transposed convolution on a single (h, w) map.
-Operations are pure: they never mutate their inputs.
+through, with the (Co, Kh, Kw, Ci) kernel ``nhwc_kernel`` makes of the flat
+weights a ``WeightSet`` stores. ``deconv_upscale`` is the mask's unit-weight
+transposed convolution on a single (h, w) map. Operations are pure: they
+never mutate their inputs.
 
-``conv2d_nhwc`` builds its im2col window view with ``as_strided`` and
-strides computed from the shape. ``sliding_window_view`` gives the same
-view, but its Python wrapper costs about 18 us a call, and a `toy` SGD step
-of 32 frames makes 48 calls. It adds the bias into the GEMM output in place,
-which gives the bytes of ``y + b`` without allocating a second output.
-Its input is already NHWC: ``network`` makes that copy one channel plane
-at a time, because a transposing ``np.ascontiguousarray`` into 3-float
-pixel rows is 3-6x slower.
+``conv2d_nhwc`` builds its im2col window view as an ``np.ndarray`` on the
+input's buffer, with strides computed from the shape. ``sliding_window_view``
+gives the same view, but its Python wrapper costs about 18 us a call and
+``as_strided`` 3-7 us, against 0.4-0.5 us, and a `toy` SGD step of 32
+frames makes 80 calls: 16 chunks of 3 forward and 2 backward convs. It adds
+the bias into the GEMM output in place, which gives the bytes of ``y + b``
+without allocating a second output. Its input is already NHWC: ``network``
+makes that copy one channel plane at a time, because a transposing
+``np.ascontiguousarray`` into 3-float pixel rows is 3-6x slower.
 """
 
 from __future__ import annotations
@@ -118,8 +120,9 @@ class ConvGeometry:
         return self.out_channels * self.in_channels * self.kernel_h * self.kernel_w
 
 
-def conv2d_nhwc(x: np.ndarray, w4: np.ndarray, b: np.ndarray, g: ConvGeometry):
-    """Valid strided conv on NHWC (N, H, W, Ci) with (Co, Kh, Kw, Ci) weights.
+def conv2d_nhwc(x: np.ndarray, w4: np.ndarray, b: np.ndarray | None, g: ConvGeometry):
+    """Valid strided conv on NHWC (N, H, W, Ci) with (Co, Kh, Kw, Ci) weights;
+    ``b`` None adds no bias.
 
     Returns the NHWC output (N, Ho, Wo, Co) and the im2col matrix
     (N*Ho*Wo, Kh*Kw*Ci). In NHWC one kernel row of a window, Kw*Ci floats,
@@ -133,13 +136,13 @@ def conv2d_nhwc(x: np.ndarray, w4: np.ndarray, b: np.ndarray, g: ConvGeometry):
     # strides come from the shape, not x.strides: a contiguous array may keep
     # any stride on a size-1 axis
     item, row = x.itemsize, w * ci * x.itemsize
-    win = np.lib.stride_tricks.as_strided(
-        x, (n, oh, ow, g.kernel_h, g.kernel_w * ci),
-        (h * row, g.stride_h * row, g.stride_w * ci * item, row, item),
-    )  # (N, Ho, Wo, Kh, Kw*Ci), a view that is only read
+    win = np.ndarray((n, oh, ow, g.kernel_h, g.kernel_w * ci), x.dtype, x, 0,
+                     (h * row, g.stride_h * row, g.stride_w * ci * item, row, item))
+    # (N, Ho, Wo, Kh, Kw*Ci), a view of x that is only read
     cols = np.ascontiguousarray(win).reshape(n * oh * ow, -1)
     y = np.matmul(cols.reshape(n, oh * ow, -1), w4.reshape(g.out_channels, -1).T)
-    y += b  # into the GEMM output: no second output-sized array
+    if b is not None:
+        y += b  # into the GEMM output: no second output-sized array
     return y.reshape(n, oh, ow, g.out_channels), cols
 
 
@@ -149,12 +152,13 @@ def nhwc_kernel(weights: np.ndarray, g: ConvGeometry) -> np.ndarray:
     return np.ascontiguousarray(w4.transpose(0, 2, 3, 1))
 
 
-def conv2d(x: np.ndarray, weights: np.ndarray, geometry: ConvGeometry, bias: np.ndarray):
+def conv2d(x: np.ndarray, w4: np.ndarray, geometry: ConvGeometry, bias: np.ndarray):
     """Valid strided convolution of an NHWC batch (N, H, W, Ci) through ``conv2d_nhwc``.
 
-    ``weights`` is flat, laid out (out_channels, in_channels, kernel_h,
-    kernel_w) in C order; ``bias`` holds one float per output channel.
-    Returns ``conv2d_nhwc``'s NHWC output and im2col matrix.
+    ``w4`` is the (out_channels, kernel_h, kernel_w, in_channels) kernel
+    ``nhwc_kernel`` makes; a flat weight vector raises ``ShapeError``.
+    ``bias`` holds one float per output channel. Returns ``conv2d_nhwc``'s
+    NHWC output and im2col matrix.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects an (N, H, W, C) batch, got rank {x.ndim}")
@@ -162,13 +166,15 @@ def conv2d(x: np.ndarray, weights: np.ndarray, geometry: ConvGeometry, bias: np.
         raise ShapeError(
             f"channel axis mismatch: input has {x.shape[3]} channels, geometry expects {geometry.in_channels}"
         )
-    if np.size(weights) != geometry.weight_count():
-        raise ShapeError(f"weight length {np.size(weights)} != expected {geometry.weight_count()}")
+    w4 = np.asarray(w4, dtype=np.float32)
+    want = (geometry.out_channels, geometry.kernel_h, geometry.kernel_w, geometry.in_channels)
+    if w4.shape != want:
+        raise ShapeError(f"kernel shape {w4.shape} != expected (Co, Kh, Kw, Ci) {want}")
     b = np.asarray(bias, dtype=np.float32)
     if b.size != geometry.out_channels:
         raise ShapeError(f"bias length {b.size} != out_channels {geometry.out_channels}")
     # bench/layers.py labels spans by geometry position: args[2] here, args[3] in conv2d_nhwc, so pass it positionally
-    return conv2d_nhwc(x, nhwc_kernel(weights, geometry), b, geometry)
+    return conv2d_nhwc(x, w4, b, geometry)
 
 
 def deconv_upscale(m: np.ndarray, geometry: ConvGeometry, target_h: int, target_w: int) -> np.ndarray:

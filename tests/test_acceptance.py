@@ -29,7 +29,7 @@ from visback.harness import (
 )
 from visback.network import ActivationTrace, _loss_and_grads_batch, forward
 from visback.saliency import compute_mask
-from visback.tensor import Tensor, conv2d
+from visback.tensor import Tensor, conv2d, nhwc_kernel
 from visback.training import FrameDataset, TrainConfig, generate_dataset, sample_scene_params, train
 from visback import scenes
 from visback.weights import (
@@ -150,8 +150,8 @@ def _relu_margin(cfg, ws, img):
         if spec.kind == "normalization":
             x = Tensor(x.data / np.float32(127.5) - np.float32(1.0))
         elif spec.kind == "conv":
-            pre = conv2d(x.data.transpose(1, 2, 0)[np.newaxis], ws.weight(i), spec.geometry,
-                         ws.bias(i))[0][0].transpose(2, 0, 1)
+            pre = conv2d(x.data.transpose(1, 2, 0)[np.newaxis], nhwc_kernel(ws.weight(i), spec.geometry),
+                         spec.geometry, ws.bias(i))[0][0].transpose(2, 0, 1)
             margins.append(float(np.abs(pre).min()))
             peak = max(peak, float(np.abs(pre).max()))
             x = Tensor(np.maximum(pre, 0.0))

@@ -30,6 +30,7 @@ from visback.network import (
     InputRangeError,
     NonFiniteOutputError,
     _conv_input_grad,
+    _input_grad_kernel,
     _loss_and_grads_batch,
     forward,
     forward_batch,
@@ -406,9 +407,9 @@ def test_micro_batch_edges_match_per_frame_results(n, monkeypatch):
     chunks = []
     run_batch = network._run_batch
 
-    def recording(cfg, weights, x, keep):
+    def recording(cfg, weights, x, keep, convs):
         chunks.append(x.shape[0])
-        return run_batch(cfg, weights, x, keep)
+        return run_batch(cfg, weights, x, keep, convs)
 
     monkeypatch.setattr(network, "_run_batch", recording)
     monkeypatch.setattr(network, "CHUNK_THREADS", 1)
@@ -497,9 +498,9 @@ def test_forward_is_one_run_batch_call_on_a_batch_of_one(monkeypatch):
     calls = []
     run_batch = network._run_batch
 
-    def recording(cfg, weights, x, keep):
+    def recording(cfg, weights, x, keep, convs):
         calls.append(x.shape)
-        return run_batch(cfg, weights, x, keep)
+        return run_batch(cfg, weights, x, keep, convs)
 
     monkeypatch.setattr(network, "_run_batch", recording)
     forward(cfg, ws, random_image(cfg, np.random.default_rng(3)))
@@ -524,8 +525,9 @@ def test_batch_layout_keeps_predictions_and_maps(layout):
     for cfg, ws in _contract_nets():
         stack = np.random.default_rng(61).uniform(0.0, 255.0, (3,) + cfg.input_shape).astype(np.float32)
         x = BATCH_LAYOUTS[layout](stack)
-        want_preds, want_maps = network._run_batch(cfg, ws, stack, "conv_outputs")
-        preds, maps = network._run_batch(cfg, ws, x, "conv_outputs")
+        convs = network._conv_operands(cfg, ws, False)
+        want_preds, want_maps = network._run_batch(cfg, ws, stack, "conv_outputs", convs)
+        preds, maps = network._run_batch(cfg, ws, x, "conv_outputs", convs)
         assert preds.dtype == np.float32 and preds.tobytes() == want_preds.tobytes()
         assert [i for i, _ in maps] == [i for i, _ in want_maps] == list(cfg.conv_indices())
         for (_, z), (_, want) in zip(maps, want_maps):
@@ -687,13 +689,13 @@ def test_chunk_error_raises_after_every_chunk_of_its_round(threads, n, bad_frame
     events = []
     run_batch = network._run_batch
 
-    def recording(cfg, weights, x, keep):
+    def recording(cfg, weights, x, keep, convs):
         key = object()
         events.append(("start", key))
         try:
             if threading.current_thread() is not threading.main_thread() and 0.0 <= x.min() <= x.max() <= 255.0:
                 time.sleep(0.05)
-            return run_batch(cfg, weights, x, keep)
+            return run_batch(cfg, weights, x, keep, convs)
         finally:
             events.append(("end", key))
 
@@ -742,13 +744,13 @@ def test_chunks_come_back_in_order_with_a_bounded_number_in_flight(threads, chun
     lock = threading.Lock()
     run_batch, chunk_results = network._run_batch, network._chunk_results
 
-    def recording(cfg, weights, x, keep):
+    def recording(cfg, weights, x, keep, convs):
         lo = int(x[0, 0, 0, 0])
         with lock:
             events.append(("start", lo))
         if lo == 0:
             time.sleep(0.1)
-        return run_batch(cfg, weights, x, keep)
+        return run_batch(cfg, weights, x, keep, convs)
 
     def watched(run_chunk, n):
         for lo, result in chunk_results(run_chunk, n):
@@ -766,6 +768,41 @@ def test_chunks_come_back_in_order_with_a_bounded_number_in_flight(threads, chun
     assert in_flight.max() <= 2 * threads
     if threads > 1:
         assert in_flight.max() > threads
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_conv_operands_are_built_once_per_call_not_per_chunk(threads, chunk_threads, monkeypatch):
+    """Each conv layer's kernel is permuted once per ``forward``,
+    ``forward_batch`` or loss call, and its input-gradient kernel packed once
+    per loss call, before any chunk runs: the counts equal the number of conv
+    layers at every batch size, however many chunks share them."""
+    chunk_threads(threads)
+    calls = {"nhwc_kernel": 0, "_input_grad_kernel": 0}
+
+    def counting(name):
+        original = getattr(network, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(network, name, counting(name))
+    cfg = toy_config()
+    ws = init_weights(cfg, seed=0)
+    convs = len(cfg.conv_indices())
+    rng = np.random.default_rng(73)
+    for n in (1, 2, 7, 32):
+        x = rng.uniform(0.0, 255.0, (n,) + cfg.input_shape).astype(np.float32)
+        for run, packed in ((lambda: forward_batch(cfg, ws, x), 0),
+                            (lambda: _loss_and_grads_batch(cfg, ws, x, np.zeros(n, np.float32)), convs)):
+            calls.update(nhwc_kernel=0, _input_grad_kernel=0)
+            run()
+            assert calls == {"nhwc_kernel": convs, "_input_grad_kernel": packed}, n
+    calls.update(nhwc_kernel=0, _input_grad_kernel=0)
+    forward(cfg, ws, Tensor(x[0]))
+    assert calls == {"nhwc_kernel": convs, "_input_grad_kernel": 0}
 
 
 def test_generated_dataset_is_the_same_bytes_at_any_chunk_thread_count(chunk_threads):
@@ -864,7 +901,7 @@ def test_conv_input_grad_phase_scatter_matches_loop_oracle(kernel, stride, in_hw
     for _ in range(3):
         # freed at once: leaves NaN garbage where the next np.empty is likely to land
         np.full((n, in_hw[0], in_hw[1], ci), np.nan, dtype=np.float32)
-        got = _conv_input_grad(dyr, w4, g, n, in_hw, (oh, ow)).transpose(0, 3, 1, 2)
+        got = _conv_input_grad(dyr, _input_grad_kernel(w4, g), g, n, in_hw, (oh, ow)).transpose(0, 3, 1, 2)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
 
 
@@ -903,7 +940,8 @@ def test_conv_input_grad_matches_tap_scatter_on_every_conv_layer(cfg):
     for i, g, in_hw, out_hw in _conv_shapes(cfg):
         w4 = tensor.nhwc_kernel(ws.weight(i), g)
         dy = rng.uniform(-1, 1, (MICRO_BATCH,) + tuple(out_hw) + (g.out_channels,)).astype(np.float32)
-        got = _conv_input_grad(dy.reshape(-1, g.out_channels), w4, g, MICRO_BATCH, in_hw, out_hw)
+        got = _conv_input_grad(dy.reshape(-1, g.out_channels), _input_grad_kernel(w4, g), g, MICRO_BATCH,
+                               in_hw, out_hw)
         assert got.shape == (MICRO_BATCH,) + tuple(in_hw) + (g.in_channels,) and got.dtype == np.float32
         want = _input_grad_taps(dy.astype(np.float64), w4.astype(np.float64), g, in_hw)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6, err_msg=f"layer {i}")

@@ -14,7 +14,7 @@ from oracles import channel_mean_loops, conv2d_loops, deconv_loops, normalize01_
 from visback.config import NetworkConfig, conv_layer, fc_layer
 from visback.network import ActivationTrace
 from visback.saliency import compute_mask, normalize_01
-from visback.tensor import ConvGeometry, ShapeError, Tensor, as_int, conv2d, deconv_upscale
+from visback.tensor import ConvGeometry, ShapeError, Tensor, as_int, conv2d, conv2d_nhwc, deconv_upscale, nhwc_kernel
 
 
 def zeros(*shape):
@@ -27,8 +27,9 @@ def nhwc_zeros(c, h, w):
 
 
 def conv_chw(x, weights, g, bias):
-    """``conv2d`` on one (C, H, W) array, returning its (Co, Ho, Wo) output."""
-    y, _ = conv2d(x.transpose(1, 2, 0)[np.newaxis], weights, g, bias)
+    """``conv2d`` on one (C, H, W) array and flat (Co, Ci, Kh, Kw) weights,
+    returning its (Co, Ho, Wo) output."""
+    y, _ = conv2d(x.transpose(1, 2, 0)[np.newaxis], nhwc_kernel(weights, g), g, bias)
     return y[0].transpose(2, 0, 1)
 
 
@@ -101,7 +102,7 @@ def test_tensor_shape_accessors():
 def test_conv_one_by_one():
     # 1x1 input, 1x1 kernel: plain scalar product 2 * 3 = 6
     x = np.array([[[[2.0]]]], dtype=np.float32)
-    out, cols = conv2d(x, np.array([3.0]), geom(1, 1), np.array([0.0]))
+    out, cols = conv2d(x, nhwc_kernel(np.array([3.0]), geom(1, 1)), geom(1, 1), np.array([0.0]))
     assert out.shape == (1, 1, 1, 1)
     assert out[0, 0, 0, 0] == pytest.approx(6.0)
     assert cols.shape == (1, 1)
@@ -109,7 +110,7 @@ def test_conv_one_by_one():
 
 def test_conv_bias_added_per_channel():
     g = geom(3, 1, cin=1, cout=2)
-    out, _ = conv2d(nhwc_zeros(1, 3, 3), np.zeros(g.weight_count()), g, np.array([1.5, -2.0]))
+    out, _ = conv2d(nhwc_zeros(1, 3, 3), nhwc_kernel(np.zeros(g.weight_count()), g), g, np.array([1.5, -2.0]))
     assert out[0, 0, 0, 0] == pytest.approx(1.5)
     assert out[0, 0, 0, 1] == pytest.approx(-2.0)
 
@@ -125,26 +126,32 @@ def test_conv_kernel_larger_than_input_raises():
     with pytest.raises(ShapeError):
         geom(5, 1).output_hw(4, 10)
     with pytest.raises(ShapeError):
-        conv2d(nhwc_zeros(1, 4, 4), np.ones(25), geom(5, 1), np.zeros(1))
+        conv2d(nhwc_zeros(1, 4, 4), np.ones((1, 5, 5, 1)), geom(5, 1), np.zeros(1))
 
 
 def test_conv_channel_mismatch_raises():
     with pytest.raises(ShapeError):
-        conv2d(nhwc_zeros(2, 4, 4), np.ones(9), geom(3, 1, cin=1), np.zeros(1))
+        conv2d(nhwc_zeros(2, 4, 4), np.ones((1, 3, 3, 1)), geom(3, 1, cin=1), np.zeros(1))
 
 
 def test_conv_rejects_non_batch_rank():
     # a single (H, W, C) frame or a 5-d array is not an NHWC batch
     for shape in ((4, 4, 1), (1, 1, 4, 4, 1)):
         with pytest.raises(ShapeError):
-            conv2d(np.zeros(shape, dtype=np.float32), np.ones(9), geom(3, 1), np.zeros(1))
+            conv2d(np.zeros(shape, dtype=np.float32), np.ones((1, 3, 3, 1)), geom(3, 1), np.zeros(1))
 
 
 def test_conv_weight_and_bias_length_checked():
     with pytest.raises(ShapeError):
-        conv2d(nhwc_zeros(1, 4, 4), np.ones(8), geom(3, 1), np.zeros(1))
+        conv2d(nhwc_zeros(1, 4, 4), np.ones((1, 2, 4, 1)), geom(3, 1), np.zeros(1))
     with pytest.raises(ShapeError):
-        conv2d(nhwc_zeros(1, 4, 4), np.ones(9), geom(3, 1), np.zeros(2))
+        conv2d(nhwc_zeros(1, 4, 4), np.ones((1, 3, 3, 1)), geom(3, 1), np.zeros(2))
+    # a flat weight vector of the right length is refused, not read as a kernel
+    with pytest.raises(ShapeError, match="kernel shape"):
+        conv2d(nhwc_zeros(1, 4, 4), np.ones(9), geom(3, 1), np.zeros(1))
+    g = geom(3, 1, cin=2, cout=2)  # the (Co, Ci, Kh, Kw) layout, unpermuted, has the right size too
+    with pytest.raises(ShapeError, match="kernel shape"):
+        conv2d(nhwc_zeros(2, 4, 4), np.ones((2, 2, 3, 3)), g, np.zeros(2))
 
 
 @given(st.data())
@@ -167,6 +174,51 @@ def test_conv_matches_loop_oracle(data):
     want = conv2d_loops(x.astype(np.float64), wts.reshape(cout, cin, k, k).astype(np.float64),
                         b.astype(np.float64), s, s)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
+def _window_rows(x, g):
+    """im2col rows of an NHWC batch from ``sliding_window_view``: one row per
+    output pixel, its window laid out (Kh, Kw, Ci)."""
+    win = np.lib.stride_tricks.sliding_window_view(x, (g.kernel_h, g.kernel_w), axis=(1, 2))
+    win = win[:, :: g.stride_h, :: g.stride_w]  # (N, Ho, Wo, Ci, Kh, Kw)
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, g.kernel_h * g.kernel_w * g.in_channels)
+
+
+WINDOW_CASES = ("random", "one_output_row", "one_channel", "stride_past_kernel", "strided_input")
+
+
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_conv_window_rows_equal_sliding_window_view(case):
+    """``conv2d_nhwc`` builds its window as an ndarray on the input's buffer;
+    its im2col rows equal those ``sliding_window_view`` gives, bit for bit,
+    on seeded random geometries and on the edge cases."""
+    rng = np.random.default_rng(WINDOW_CASES.index(case))
+    for _ in range(8):
+        kh, kw = (int(v) for v in rng.integers(1, 5, 2))
+        sh, sw = (int(v) for v in rng.integers(1, 4, 2))
+        n, ci, co = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        h, w = kh + int(rng.integers(0, 7)), kw + int(rng.integers(0, 7))
+        if case == "one_output_row":
+            h = kh
+        elif case == "one_channel":
+            ci = 1
+        elif case == "stride_past_kernel":
+            sh, sw = kh + int(rng.integers(1, 3)), kw + int(rng.integers(1, 3))
+            h, w = kh + 2 * sh, kw + sw + 1
+        g = ConvGeometry(kh, kw, sh, sw, ci, co)
+        x = rng.standard_normal((n, h, w, ci)).astype(np.float32)
+        if case == "strided_input":  # every other column of a wider batch: not C-contiguous
+            wide = rng.standard_normal((n, h, 2 * w, ci)).astype(np.float32)
+            wide[:, :, ::2] = x
+            x = wide[:, :, ::2]
+            assert not x.flags.c_contiguous
+        w4 = rng.standard_normal((co, kh, kw, ci)).astype(np.float32)
+        y, cols = conv2d_nhwc(x, w4, np.zeros(co, np.float32), g)
+        oh, ow = g.output_hw(h, w)
+        assert y.shape == (n, oh, ow, co)
+        if case == "one_output_row":
+            assert oh == 1
+        np.testing.assert_array_equal(cols, _window_rows(x, g))
 
 
 # --- channel mean ----------------------------------------------------------
