@@ -202,11 +202,10 @@ def _share_malloc_arena() -> None:
     keeps the heap its peak working set freed while that stays below the
     trim threshold. A pool thread's arena held about 7 MB of free heap after
     batch-64 `default` evals. In one arena the pool thread reuses memory the
-    caller freed. Without this call, on 2 CPUs (25-s bench runs, alternating
-    pairs), ``explain_shift``'s median peak RSS read 96.95 against 88.61 MB
-    (+9.4%, 10 pairs), ``train``'s 134.93 against 134.23 MB and
-    ``gen_eval``'s 92.85 against 92.84 MB; but ``gen_eval`` rendered 12.5%
-    and evaluated 9.1% more frames per second (4 of 4 pairs). See README
+    caller freed. Without this call, on 2 CPUs (25-s bench runs, 5
+    alternating pairs each), the median peak RSS read 85.95 against 79.22 MB
+    on ``explain_shift`` and 85.11 against 78.58 MB on ``gen_eval``, while
+    the pool rendered and evaluated 3-7% more frames per second. See README
     "Determinism". Where the C library has no ``mallopt`` this does nothing.
     """
     try:
@@ -316,13 +315,14 @@ def _conv_input_grad(dyr: np.ndarray, grad: tuple[np.ndarray, ConvGeometry], g: 
 def _to_nhwc(x: np.ndarray) -> np.ndarray:
     """The (N, C, H, W) batch ``x`` as a fresh C-order float32 NHWC array.
 
-    A uint8 batch holds RGB frames and comes back converted to YUV. Any
-    other batch is copied one channel plane at a time (see the module
-    docstring), so the result never shares memory with ``x``.
+    A uint8 batch holds RGB frames and comes back converted to YUV by
+    ``scenes._to_yuv_batch``, whose (N, 3, H, W) result is a view of NHWC
+    memory. Any other batch is copied one channel plane at a time (see the
+    module docstring), so the result never shares memory with ``x``.
     """
     a = x.transpose(0, 2, 3, 1)
     if a.dtype == np.uint8:
-        return scenes._yuv_channels_last(a)
+        return scenes._to_yuv_batch(a).transpose(0, 2, 3, 1)
     nhwc = np.empty(a.shape, dtype=np.float32)
     for c in range(x.shape[1]):
         nhwc[..., c] = x[:, c]

@@ -114,6 +114,12 @@ def _yuv_channels_last(rgb: np.ndarray) -> np.ndarray:
     return yuv.reshape(rgb.shape)
 
 
+def _to_yuv_batch(rgb_uint8: np.ndarray) -> np.ndarray:
+    """(B, H, W, 3) uint8 -> (B, 3, H, W) float32 YUV, a transposed view
+    of NHWC memory. Each chunk of a uint8 network batch converts through it."""
+    return _yuv_channels_last(rgb_uint8).transpose(0, 3, 1, 2)
+
+
 def rgb_to_yuv(rgb: np.ndarray) -> np.ndarray:
     """(H, W, 3) uint8 RGB -> (3, H, W) float32 YUV, a transposed view of
     (H, W, 3) memory."""

@@ -11,6 +11,8 @@ triple reproduces the weight trajectory bit for bit.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from . import imageio, network, scenes
 from .config import NetworkConfig
 from .fileutil import atomic_write_text
 from .scenes import STYLES, LabeledFrame, SceneParams
+from .scenes import _to_yuv_batch  # noqa: F401  bench/layers.py hooks this name
 from .tensor import Tensor, as_int
 from .weights import WeightSet, init_weights
 
@@ -43,7 +46,9 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """SGD settings; ``batch_size``, ``epochs`` and ``seed`` go through ``as_int``."""
+    """SGD settings; ``batch_size``, ``epochs`` and ``seed`` go through
+    ``as_int``, and the two float fields become plain ``float``s: a real
+    number, not a bool, finite and >= 0."""
 
     learning_rate: float = 0.5
     batch_size: int = 32
@@ -52,18 +57,14 @@ class TrainConfig:
     augmentation_shift_range: float = 0.6   # meters; 0 disables augmentation
 
     def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        for name in ("learning_rate", "augmentation_shift_range"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                    math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a finite real number >= 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
         for name, minimum in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
             object.__setattr__(self, name, as_int(getattr(self, name), name, minimum))
-        if not (np.isfinite(self.augmentation_shift_range) and self.augmentation_shift_range >= 0.0):
-            raise ValueError(f"augmentation_shift_range must be >= 0, got {self.augmentation_shift_range}")
-
-
-def _to_yuv_batch(rgb_uint8: np.ndarray) -> np.ndarray:
-    """(B, H, W, 3) uint8 -> (B, 3, H, W) float32 YUV, a transposed view
-    of NHWC memory."""
-    return scenes._yuv_channels_last(rgb_uint8).transpose(0, 3, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -252,15 +253,17 @@ def train(cfg: NetworkConfig, tc: TrainConfig, dataset: FrameDataset) -> tuple[W
 
 def evaluate_mse(cfg: NetworkConfig, weights: WeightSet, dataset: FrameDataset,
                  batch_size: int = 64) -> float:
-    """Mean squared steering error over the un-augmented dataset."""
+    """Mean squared steering error over the un-augmented dataset. The
+    predictions do not depend on ``batch_size``, which only groups the
+    float64 sum of squared errors."""
     batch_size = as_int(batch_size, "batch_size", 1)
     n = len(dataset)
     if n == 0:
         raise DatasetError("cannot evaluate on an empty dataset")
     total = 0.0
     for lo in range(0, n, batch_size):
-        x = _to_yuv_batch(dataset.images_rgb[lo : lo + batch_size])
-        preds = network.forward_batch(cfg, weights, x)
+        # uint8 frames: each network chunk converts its own to YUV
+        preds = network.forward_batch(cfg, weights, dataset.images_rgb[lo : lo + batch_size].transpose(0, 3, 1, 2))
         diff = preds.astype(np.float64) - dataset.labels[lo : lo + batch_size].astype(np.float64)
         total += float((diff**2).sum())
     return total / n

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from visback import network
 from visback.config import LayerSpec, NetworkConfig, conv_layer, fc_layer
 from visback.tensor import Tensor
 from visback.weights import WeightSet, parameter_shapes
@@ -93,6 +95,24 @@ def oracle_layers(cfg: NetworkConfig, ws: WeightSet) -> list:
             layers.append(("fc", w2.astype(np.float64), ws.bias(i).astype(np.float64),
                            layer.activation))
     return layers
+
+
+@pytest.fixture
+def chunk_threads(monkeypatch):
+    """A function ``use(k)`` that makes the batched paths run ``k`` chunk
+    threads on a fresh pool, whose threads are named ``test-chunk``; the
+    pools are shut down at teardown."""
+    pools = []
+
+    def use(k):
+        pool = ThreadPoolExecutor(max_workers=max(1, k - 1), thread_name_prefix="test-chunk")
+        pools.append(pool)
+        monkeypatch.setattr(network, "CHUNK_THREADS", k)
+        monkeypatch.setattr(network, "_POOL", pool)
+
+    yield use
+    for pool in pools:
+        pool.shutdown(wait=True)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -600,24 +599,6 @@ def test_batch_entries_reject_nonfinite_frames(bad, with_normalization):
 
 
 # --- chunk threads -----------------------------------------------------------
-
-@pytest.fixture
-def chunk_threads(monkeypatch):
-    """A function ``use(k)`` that makes the batched paths run ``k`` chunk
-    threads on a fresh pool, whose threads are named ``test-chunk``; the
-    pools are shut down at teardown."""
-    pools = []
-
-    def use(k):
-        pool = ThreadPoolExecutor(max_workers=max(1, k - 1), thread_name_prefix="test-chunk")
-        pools.append(pool)
-        monkeypatch.setattr(network, "CHUNK_THREADS", k)
-        monkeypatch.setattr(network, "_POOL", pool)
-
-    yield use
-    for pool in pools:
-        pool.shutdown(wait=True)
-
 
 def _batched_bytes(cfg, ws, x, targets):
     """Every byte ``forward_batch`` and ``_loss_and_grads_batch`` return."""

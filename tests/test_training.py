@@ -5,7 +5,9 @@ symmetry)."""
 import math
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,9 @@ from visback.training import (
     generate_dataset,
     train,
 )
-from visback.weights import init_weights
+from visback.weights import init_weights, load_weights
+
+TOY_WEIGHTS = Path(__file__).resolve().parents[1] / "bench" / "toy_weights.pnw"
 
 
 def tiny_config() -> NetworkConfig:
@@ -81,6 +85,12 @@ def test_train_config_zero_shift_range_allowed():
         {"batch_size": "32"},
         {"seed": 1.5},
         {"seed": False},
+        {"learning_rate": True},
+        {"learning_rate": "0.5"},
+        {"learning_rate": None},
+        {"augmentation_shift_range": True},
+        {"augmentation_shift_range": "0.5"},
+        {"augmentation_shift_range": None},
     ],
 )
 def test_train_config_rejects_bad_values(kwargs):
@@ -399,6 +409,70 @@ def test_evaluate_mse_rejects_non_integer_batch_size(batch_size):
     cfg = tiny_config()
     with pytest.raises(ValueError, match="batch_size must be an integer"):
         evaluate_mse(cfg, zero_weights(cfg), tiny_dataset(3, seed=12), batch_size=batch_size)
+
+
+def _chunk_sizes(n: int) -> list[int]:
+    return [min(network.MICRO_BATCH, n - lo) for lo in range(0, n, network.MICRO_BATCH)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_evaluate_mse_is_the_float_of_yuv_batches_per_slice(threads, chunk_threads):
+    """``evaluate_mse`` hands the network uint8 frames, which each chunk
+    converts, and returns the float of the route that converted each slice
+    first: ``forward_batch`` over ``_to_yuv_batch`` of the slice, then a
+    float64 sum of squared errors, at every ``batch_size``."""
+    chunk_threads(threads)
+    cfg, ws = toy_config(), load_weights(TOY_WEIGHTS)
+    ds = generate_dataset(70, seed=21)
+    for batch_size in (1, 5, 64):
+        total = 0.0
+        for lo in range(0, len(ds), batch_size):
+            preds = forward_batch(cfg, ws, training._to_yuv_batch(ds.images_rgb[lo : lo + batch_size]))
+            diff = preds.astype(np.float64) - ds.labels[lo : lo + batch_size].astype(np.float64)
+            total += float((diff**2).sum())
+        assert evaluate_mse(cfg, ws, ds, batch_size=batch_size) == total / len(ds), batch_size
+
+
+def test_every_uint8_chunk_converts_through_the_hooked_converter(monkeypatch):
+    """``training._to_yuv_batch`` is the converter each chunk of a uint8
+    batch calls, so a wrapper on it (bench/layers.py's ``training.to_yuv``)
+    sees one call per chunk, in ``evaluate_mse`` and in the SGD loss."""
+    assert training._to_yuv_batch is scenes._to_yuv_batch
+    calls = []
+    original = scenes._to_yuv_batch
+
+    def counting(rgb):
+        calls.append(rgb.shape[0])
+        return original(rgb)
+
+    monkeypatch.setattr(scenes, "_to_yuv_batch", counting)
+    cfg = toy_config()
+    ws = init_weights(cfg, seed=0)
+    ds = generate_dataset(11, seed=22)
+    evaluate_mse(cfg, ws, ds, batch_size=5)
+    assert sorted(calls) == sorted(_chunk_sizes(5) * 2 + _chunk_sizes(1))
+    calls.clear()
+    network._loss_and_grads_batch(cfg, ws, ds.images_rgb.transpose(0, 3, 1, 2), ds.labels)
+    assert sorted(calls) == sorted(_chunk_sizes(11))
+
+
+def test_evaluate_mse_peaks_below_one_float_copy_of_its_batch(chunk_threads):
+    """The chunks convert their own frames, so ``evaluate_mse`` over 64
+    frames of 66 x 200 holds no float32 YUV copy of the batch: at one chunk
+    thread its ``tracemalloc`` peak stays below that copy's 10.14 MB.
+    Converting each batch before the network peaked at two such copies."""
+    chunk_threads(1)
+    cfg = toy_config()
+    ws = init_weights(cfg, seed=0)
+    ds = generate_dataset(64, seed=23)
+    evaluate_mse(cfg, ws, ds)  # warm: the first call may fill caches of its own
+    tracemalloc.start()
+    try:
+        evaluate_mse(cfg, ws, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.images_rgb.size * np.dtype(np.float32).itemsize
 
 
 def test_train_enters_loss_and_grads_once_per_sgd_step(monkeypatch):
